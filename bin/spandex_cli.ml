@@ -40,7 +40,6 @@ let params_of ?(backend = Spandex_sim.Engine.Wheel_backend) ~cpus ~cus ~warps
 
 let backend_of ~shards = function
   | "wheel" -> Spandex_sim.Engine.Wheel_backend
-  | "heap" -> Spandex_sim.Engine.Heap_backend
   | "pdes" ->
     let shards =
       if shards > 0 then shards
@@ -48,7 +47,7 @@ let backend_of ~shards = function
     in
     Spandex_sim.Engine.Pdes_backend { shards }
   | s ->
-    Printf.eprintf "unknown engine %s (wheel, heap or pdes)\n" s;
+    Printf.eprintf "unknown engine %s (wheel or pdes)\n" s;
     exit 1
 
 let fault_spec_of ~drop ~dup ~delay ~reorder ~seed =
@@ -183,11 +182,11 @@ let engine_arg =
     value & opt string "wheel"
     & info [ "engine" ]
         ~doc:
-          "Simulation backend: 'wheel' (timing wheel, default), 'heap' \
-           (the pre-wheel binary heap reference scheduler) or 'pdes' \
-           (conservative parallel discrete-event simulation — the machine \
-           is sharded across domains synchronized on the topology's \
-           minimum latency; see --shards).  Results are bit-identical for \
+          "Simulation backend: 'wheel' (one sequential timing-wheel \
+           engine, default) or 'pdes' (conservative parallel \
+           discrete-event simulation — the machine is sharded across \
+           domains synchronized on the topology's minimum latency; see \
+           --shards).  Results are bit-identical for \
            every backend; only speed differs.")
 
 let shards_arg =

@@ -1,5 +1,4 @@
 module Wheel = Spandex_util.Wheel
-module Pqueue = Spandex_util.Pqueue
 module Msg = Spandex_proto.Msg
 
 type endpoint = {
@@ -161,18 +160,13 @@ module Netq = struct
     done
 end
 
-type backend = Wheel_backend | Heap_backend | Pdes_backend of { shards : int }
+type backend = Wheel_backend | Pdes_backend of { shards : int }
 
-(* The heap backend is the pre-wheel engine, kept as a reference
-   implementation: component events go through a single (time, seq) binary
-   heap, so sweeps run on it reproduce the original scheduler bit-for-bit
-   and the test suite can assert the wheel engine matches it.  A
-   [Pdes_backend] engine is one shard's scheduler — a wheel; the sharding
-   itself lives in [Pdes]/[Run], not here. *)
-type queue = Q_wheel of ev Wheel.t | Q_heap of ev Pqueue.t
-
+(* Every engine schedules component events on one timing wheel; a
+   [Pdes_backend] engine is one shard's scheduler, and the sharding itself
+   lives in [Pdes]/[Run], not here. *)
 type t = {
-  queue : queue;
+  wheel : ev Wheel.t;
   netq : Netq.t;
   (* Per-source delivery sequence numbers (index = src device id).  Under
      PDES each device sends from exactly one shard, so the per-shard
@@ -256,15 +250,9 @@ let pp_livelock fmt l =
   Format.fprintf fmt "livelock at cycle %d (no progress for %d cycles): %s"
     l.cycle l.stalled_for l.detail
 
-let create ?(backend = Wheel_backend) ?(trace = Trace.disabled) () =
-  let queue =
-    match backend with
-    | Wheel_backend | Pdes_backend _ ->
-      Q_wheel (Wheel.create ~horizon:512 ~dummy:(fresh_ev ()) ())
-    | Heap_backend -> Q_heap (Pqueue.create ~capacity:1024 ())
-  in
+let create ?(trace = Trace.disabled) () =
   {
-    queue;
+    wheel = Wheel.create ~horizon:512 ~dummy:(fresh_ev ()) ();
     netq = Netq.create ();
     dseq = Array.make 64 0;
     lookahead = 1;
@@ -315,11 +303,6 @@ let sample_now t =
   t.next_sample <- t.time + t.sample_every;
   t.sampler t.time
 
-let q_push q ~time ev =
-  match q with
-  | Q_wheel w -> Wheel.push w ~time ev
-  | Q_heap h -> Pqueue.push h ~time ev
-
 let ev_alloc t =
   if t.free_len > 0 then begin
     t.free_len <- t.free_len - 1;
@@ -350,14 +333,14 @@ let at t ~time f =
   let e = ev_alloc t in
   e.tag <- 0;
   e.fn <- f;
-  q_push t.queue ~time e
+  Wheel.push t.wheel ~time e
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let e = ev_alloc t in
   e.tag <- 0;
   e.fn <- f;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 (* Delivery ties pack (src, per-src seq) into one int: src in the high
    bits, sequence below.  Device ids are small dense ints (< 2^22 with
@@ -397,7 +380,7 @@ let send_later t ~delay msg =
   let e = ev_alloc t in
   e.tag <- 3;
   e.msg <- msg;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 let apply_later t ~delay f v =
   if delay < 0 then invalid_arg "Engine.apply_later: negative delay";
@@ -405,26 +388,18 @@ let apply_later t ~delay f v =
   e.tag <- 4;
   e.af <- f;
   e.iarg <- v;
-  q_push t.queue ~time:(t.time + delay) e
+  Wheel.push t.wheel ~time:(t.time + delay) e
 
 let step_limit_hit t =
   raise
     (Deadlock
        (Printf.sprintf "step limit %d exceeded at cycle %d" t.step_limit t.time))
 
-(* The run loops below are specialized per backend so the hot path pays no
-   queue-variant dispatch per event: one match outside the loop instead of
-   one inside each of is-empty / min-time / pop / push.  The wheel loop
-   additionally reads the event time from the cursor after the pop,
-   avoiding a second cursor advance. *)
-
 (* Dispatch copies an event's fields into locals and recycles the record
    *before* acting, so the action's own pushes can reuse it immediately.
    After a [Handle]'s component handler returns, the message itself goes
    back to its pool unless the handler kept it (see {!Msg.recycle}). *)
-
 let wheel_dispatch t (e : ev) =
-  if t.time >= t.next_sample then sample_now t;
   match e.tag with
   | 0 ->
     let f = e.fn in
@@ -447,16 +422,13 @@ let wheel_dispatch t (e : ev) =
     ev_recycle t e;
     f v
 
-let heap_dispatch = wheel_dispatch
-
 (* Grant the best pending delivery: the one-message-per-cycle ingress
    drain assigns the port slot, and the handler invocation is scheduled as
-   a [Handle] component event — which the run loops drain before granting
+   a [Handle] component event — which [dispatch_one] drains before granting
    the next delivery, so a burst of same-cycle arrivals at one endpoint
    is granted in key order with the port back-pressure applied exactly as
    the sequential engine always has. *)
 let netq_dispatch t =
-  if t.time >= t.next_sample then sample_now t;
   let q = t.netq in
   let msg = q.Netq.msgs.(0) and ep = q.Netq.eps.(0) in
   Netq.drop_min q;
@@ -468,134 +440,60 @@ let netq_dispatch t =
   e.tag <- 2;
   e.msg <- msg;
   e.ep <- ep;
-  q_push t.queue ~time:deliver_at e
+  Wheel.push t.wheel ~time:deliver_at e
+
+(* The earlier of the two queue heads; which queue pops when they tie is
+   decided by [dispatch_one] alone. *)
+let next_time t =
+  let tq = Wheel.peek_time t.wheel in
+  if Netq.is_empty t.netq then tq
+  else
+    let tn = Netq.min_time t.netq in
+    if tn < tq then tn else tq
+
+(* Dispatch the next event under the canonical pop rule: component events
+   first at equal times, a delivery only when strictly earlier than the
+   wheel's head (or the wheel is idle).  Combined with [Handle] being a
+   component event, this makes the merged order a pure function of the
+   simulated machine.  Every run loop goes through here; the caller has
+   checked that some event is queued. *)
+let dispatch_one t =
+  t.steps <- t.steps + 1;
+  if t.steps > t.step_limit then step_limit_hit t;
+  let nq = t.netq in
+  if (not (Netq.is_empty nq)) && Wheel.peek_time t.wheel > Netq.min_time nq
+  then begin
+    t.time <- Netq.min_time nq;
+    if t.time >= t.next_sample then sample_now t;
+    netq_dispatch t
+  end
+  else begin
+    let ev = Wheel.pop_min t.wheel in
+    t.time <- Wheel.current_time t.wheel;
+    if t.time >= t.next_sample then sample_now t;
+    wheel_dispatch t ev
+  end
 
 (* A drained queue is only "done" if no component still holds live work:
    an L1 waiting on a reply that will never arrive would otherwise look
    like a completed simulation. *)
-let drained ~strict t =
-  if not strict then t.time
-  else
-    match live_work t with
-    | [] -> t.time
-    | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
-
-(* Canonical pop rule, shared by every loop below: component events first
-   at equal times ([tq <= tn]), deliveries only when strictly earliest or
-   the component queue is idle at that cycle.  Combined with [Handle]
-   being a component event, this makes the merged order a pure function
-   of the simulated machine. *)
-
 let run_all ?(strict = true) t =
-  let nq = t.netq in
-  match t.queue with
-  | Q_wheel w ->
-    let rec loop () =
-      let wempty = Wheel.is_empty w in
-      if wempty && Netq.is_empty nq then drained ~strict t
-      else begin
-        let from_net =
-          (not (Netq.is_empty nq))
-          && (wempty
-             ||
-             match Wheel.peek_time w with
-             | Some tw -> tw > Netq.min_time nq
-             | None -> true)
-        in
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if from_net then begin
-          t.time <- Netq.min_time nq;
-          netq_dispatch t
-        end
-        else begin
-          let ev = Wheel.pop_min w in
-          t.time <- Wheel.current_time w;
-          wheel_dispatch t ev
-        end;
-        loop ()
-      end
-    in
-    loop ()
-  | Q_heap h ->
-    let rec loop () =
-      let hempty = Pqueue.is_empty h in
-      if hempty && Netq.is_empty nq then drained ~strict t
-      else begin
-        let from_net =
-          (not (Netq.is_empty nq))
-          && (hempty || Pqueue.min_time h > Netq.min_time nq)
-        in
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if from_net then begin
-          t.time <- Netq.min_time nq;
-          netq_dispatch t
-        end
-        else begin
-          t.time <- Pqueue.min_time h;
-          let ev = Pqueue.pop_min h in
-          heap_dispatch t ev
-        end;
-        loop ()
-      end
-    in
-    loop ()
-
-let next_event_time t =
-  let tn = if Netq.is_empty t.netq then None else Some (Netq.min_time t.netq) in
-  let tq =
-    match t.queue with
-    | Q_wheel w -> Wheel.peek_time w
-    | Q_heap h -> Pqueue.peek_time h
-  in
-  match (tq, tn) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (if a <= b then a else b)
-
-(* Dispatch the single next event under the canonical pop rule. *)
-let dispatch_one t =
-  let nq = t.netq in
-  let from_net =
-    (not (Netq.is_empty nq))
-    &&
-    let tq =
-      match t.queue with
-      | Q_wheel w -> Wheel.peek_time w
-      | Q_heap h -> Pqueue.peek_time h
-    in
-    match tq with Some tq -> tq > Netq.min_time nq | None -> true
-  in
-  t.steps <- t.steps + 1;
-  if t.steps > t.step_limit then step_limit_hit t;
-  if from_net then begin
-    t.time <- Netq.min_time nq;
-    netq_dispatch t
-  end
-  else
-    match t.queue with
-    | Q_wheel w ->
-      let ev = Wheel.pop_min w in
-      t.time <- Wheel.current_time w;
-      wheel_dispatch t ev
-    | Q_heap h ->
-      t.time <- Pqueue.min_time h;
-      let ev = Pqueue.pop_min h in
-      heap_dispatch t ev
+  while next_time t < max_int do
+    dispatch_one t
+  done;
+  if strict then begin
+    match live_work t with
+    | [] -> ()
+    | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
+  end;
+  t.time
 
 let step t =
-  let have =
-    (not (Netq.is_empty t.netq))
-    ||
-    match t.queue with
-    | Q_wheel w -> not (Wheel.is_empty w)
-    | Q_heap h -> not (Pqueue.is_empty h)
-  in
-  if have then begin
+  if next_time t = max_int then false
+  else begin
     dispatch_one t;
     true
   end
-  else false
 
 let set_step_limit t n = t.step_limit <- n
 let events_processed t = t.steps
@@ -642,25 +540,22 @@ let watchdog_check t ~boundary =
    same cycle with the same event count. *)
 let run t ~until_done ~pending_desc =
   let l = t.lookahead in
-  let check_at = ref min_int in
-  let rec loop () =
-    match next_event_time t with
-    | None ->
+  let rec loop check_at =
+    let te = next_time t in
+    if te = max_int then
       if until_done () then t.time else raise (Deadlock (pending_desc ()))
-    | Some te ->
-      if te >= !check_at then
-        if until_done () then t.time
-        else begin
-          let b = l * (te / l) in
-          watchdog_check t ~boundary:b;
-          check_at := b + l;
-          dispatch_run t;
-          loop ()
-        end
+    else if te >= check_at then
+      if until_done () then t.time
       else begin
+        let b = l * (te / l) in
+        watchdog_check t ~boundary:b;
         dispatch_run t;
-        loop ()
+        loop (b + l)
       end
+    else begin
+      dispatch_run t;
+      loop check_at
+    end
   and dispatch_run t =
     match dispatch_one t with
     | () -> ()
@@ -668,55 +563,12 @@ let run t ~until_done ~pending_desc =
       (* Step-limit overruns get the caller's pending description. *)
       raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))
   in
-  loop ()
+  loop min_int
 
 (* PDES window execution: drain every event strictly before [stop].  The
    caller (the round coordinator) guarantees no event before [stop] can
    still arrive from another shard. *)
 let run_window t ~stop =
-  let nq = t.netq in
-  match t.queue with
-  | Q_wheel w ->
-    let rec loop () =
-      let tq =
-        match Wheel.peek_time w with Some v -> v | None -> max_int
-      in
-      let tn = if Netq.is_empty nq then max_int else Netq.min_time nq in
-      let te = if tq <= tn then tq else tn in
-      if te < stop then begin
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if tq <= tn then begin
-          let ev = Wheel.pop_min w in
-          t.time <- Wheel.current_time w;
-          wheel_dispatch t ev
-        end
-        else begin
-          t.time <- tn;
-          netq_dispatch t
-        end;
-        loop ()
-      end
-    in
-    loop ()
-  | Q_heap h ->
-    let rec loop () =
-      let tq = if Pqueue.is_empty h then max_int else Pqueue.min_time h in
-      let tn = if Netq.is_empty nq then max_int else Netq.min_time nq in
-      let te = if tq <= tn then tq else tn in
-      if te < stop then begin
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then step_limit_hit t;
-        if tq <= tn then begin
-          t.time <- tq;
-          let ev = Pqueue.pop_min h in
-          heap_dispatch t ev
-        end
-        else begin
-          t.time <- tn;
-          netq_dispatch t
-        end;
-        loop ()
-      end
-    in
-    loop ()
+  while next_time t < stop do
+    dispatch_one t
+  done

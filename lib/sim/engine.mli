@@ -16,9 +16,10 @@
     ({!Spandex_util.Wheel}): almost every event lands 1–100 cycles ahead,
     so push/pop are O(1) with FIFO order per cycle preserved by
     construction; far-future events (retry backoff) spill to an overflow
-    heap.  The pre-wheel binary-heap scheduler is retained as
-    {!Heap_backend} so tests can assert the two produce bit-identical
-    simulations. *)
+    heap.  It is the only scheduler.  Its order is guarded by property
+    tests against the reference binary heap ({!Spandex_util.Pqueue}),
+    by the chassis golden trace, and by the sharded backend reproducing
+    the sequential one bit for bit. *)
 
 type t
 
@@ -87,18 +88,18 @@ type endpoint = {
     ({!Spandex_proto.Msg.keep}). *)
 
 type backend =
-  | Wheel_backend  (** timing wheel + overflow heap (default). *)
-  | Heap_backend
-      (** the pre-wheel (time, seq) binary heap, kept as a reference
-          scheduler for bit-identity tests. *)
+  | Wheel_backend  (** one sequential engine (default). *)
   | Pdes_backend of { shards : int }
       (** conservative parallel DES: the machine is partitioned into
           [shards] shards, each with its own engine (a timing wheel) on a
           dedicated domain, synchronized on the topology's min-latency
-          lookahead (see {!Pdes} and [Run]).  An engine created with this
-          backend is one shard's scheduler. *)
+          lookahead (see {!Pdes} and [Run]).  Each shard's engine is an
+          ordinary {!create}d one. *)
+(** How [Run] drives a simulation.  Both backends schedule on the same
+    timing wheel; the choice only decides whether the machine is split
+    across shards. *)
 
-val create : ?backend:backend -> ?trace:Trace.t -> unit -> t
+val create : ?trace:Trace.t -> unit -> t
 (** [trace] (default {!Trace.disabled}) is the simulation's trace sink;
     the engine only carries it so every component can reach the shared
     sink through its engine handle without signature changes. *)
@@ -193,9 +194,10 @@ val run_window : t -> stop:int -> unit
     before [stop] can still arrive from another shard.  Honors the step
     limit, raising {!Deadlock} when exceeded. *)
 
-val next_event_time : t -> int option
-(** Cycle of the earliest queued event, or [None] when the queue is
-    empty.  Does not advance time. *)
+val next_time : t -> int
+(** Cycle of the earliest queued event, or [max_int] when nothing is
+    queued.  Does not advance time, and a later push at the current cycle
+    stays legal. *)
 
 val step : t -> bool
 (** Dispatch exactly one event (advancing time to it); [false] when the

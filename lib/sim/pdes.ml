@@ -312,13 +312,13 @@ let worker t ~until_done ~pending_desc s =
   let eng = t.engines.(s) in
   let p = t.prof.(s) in
   let now = match t.clock with Some c -> c | None -> fun () -> 0. in
+  (* [Gc.minor_words] is exact for the calling domain; [Gc.quick_stat]'s
+     minor-word count lags until the next minor collection. *)
   let gc0 = Gc.quick_stat () in
+  let words0 = Gc.minor_words () in
   let continue = ref true in
   while !continue do
-    Atomic.set t.next_times.(s)
-      (match Engine.next_event_time eng with
-      | Some u -> u
-      | None -> max_int);
+    Atomic.set t.next_times.(s) (Engine.next_time eng);
     (* A: every shard has published its earliest event time. *)
     let w0 = now () in
     barrier t ~on_wait:(fun () -> ());
@@ -348,8 +348,8 @@ let worker t ~until_done ~pending_desc s =
       p.p_drain_s <- p.p_drain_s +. (w6 -. w5)
     end
   done;
+  p.p_minor_words <- Gc.minor_words () -. words0;
   let gc1 = Gc.quick_stat () in
-  p.p_minor_words <- gc1.Gc.minor_words -. gc0.Gc.minor_words;
   p.p_major_collections <-
     gc1.Gc.major_collections - gc0.Gc.major_collections
 

@@ -102,7 +102,7 @@ type shard_profile = {
           spins draining its own inbound links until space appears). *)
   sp_max_link_depth : int;  (** deepest outbound link seen, post-push. *)
   sp_minor_words : float;  (** minor-heap words allocated by this shard's
-                               domain over the run ([Gc.quick_stat]). *)
+                               domain over the run ([Gc.minor_words]). *)
   sp_major_collections : int;
   sp_max_round_events : int;  (** largest single-round event count. *)
   sp_round_events : int array;

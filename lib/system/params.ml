@@ -50,8 +50,8 @@ type t = {
   (* Raise [Engine.Livelock] when no core retires an op for this many
      cycles; 0 disables the watchdog. *)
   watchdog_cycles : int;
-  (* Event-queue implementation; [Heap_backend] is the pre-wheel reference
-     scheduler used by bit-identity tests. *)
+  (* Sequential wheel or sharded PDES; both schedule on the same timing
+     wheel. *)
   engine_backend : Spandex_sim.Engine.backend;
   (* Component-to-shard placement for the PDES backend; ignored by the
      sequential backends. *)

@@ -63,9 +63,9 @@ type t = {
       (** raise [Engine.Livelock] when no core retires an op for this many
           cycles; 0 disables the watchdog. *)
   engine_backend : Spandex_sim.Engine.backend;
-      (** event-queue implementation; [Wheel_backend] (the default) is the
-          timing wheel, [Heap_backend] the pre-wheel binary heap kept for
-          bit-identity cross-checks. *)
+      (** [Wheel_backend] (the default) runs one sequential engine;
+          [Pdes_backend] shards the machine across domains.  Both schedule
+          on the same timing wheel. *)
   pdes_partition : partition;
       (** component-to-shard placement under [Pdes_backend]; the default
           spreads every group. *)

@@ -227,7 +227,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let requested_shards =
     match p.Params.engine_backend with
     | Engine.Pdes_backend { shards } -> shards
-    | Engine.Wheel_backend | Engine.Heap_backend -> 1
+    | Engine.Wheel_backend -> 1
   in
   let n_cores =
     Array.length w.Workload.cpu_programs + Array.length w.Workload.gpu_programs
@@ -302,7 +302,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   in
   let engines =
     Array.init shards (fun s ->
-        Engine.create ~backend:p.Params.engine_backend ~trace:traces.(s) ())
+        Engine.create ~trace:traces.(s) ())
   in
   let engine = engines.(0) in
   (* One metrics registry per shard, mirroring the trace sinks: every

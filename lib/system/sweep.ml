@@ -12,6 +12,8 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 type 'b outcome = Value of 'b | Raised of exn * Printexc.raw_backtrace
 
+(* Minor words are read with [Gc.minor_words], exact for the calling
+   domain; [Gc.quick_stat]'s count lags until the next minor collection. *)
 type worker_gc = {
   wg_jobs : int;
   wg_minor_words : float;
@@ -64,6 +66,7 @@ let map_gc ?jobs ?weights f items =
     let gc =
       with_tuned_gc @@ fun () ->
       let s0 = Gc.quick_stat () in
+      let words0 = Gc.minor_words () in
       Array.iter
         (fun i ->
           results.(i) <-
@@ -71,10 +74,11 @@ let map_gc ?jobs ?weights f items =
               (try Value (f input.(i))
                with e -> Raised (e, Printexc.get_raw_backtrace ())))
         order;
+      let words = Gc.minor_words () -. words0 in
       let s1 = Gc.quick_stat () in
       {
         wg_jobs = n;
-        wg_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
+        wg_minor_words = words;
         wg_major_collections =
           s1.Gc.major_collections - s0.Gc.major_collections;
       }
@@ -93,6 +97,7 @@ let map_gc ?jobs ?weights f items =
     let worker wid () =
       with_tuned_gc @@ fun () ->
       let s0 = Gc.quick_stat () in
+      let words0 = Gc.minor_words () in
       let claimed = ref 0 in
       let rec loop () =
         let k = Atomic.fetch_and_add next 1 in
@@ -108,12 +113,13 @@ let map_gc ?jobs ?weights f items =
         end
       in
       loop ();
+      let words = Gc.minor_words () -. words0 in
       let s1 = Gc.quick_stat () in
       gc_slots.(wid) <-
         Some
           {
             wg_jobs = !claimed;
-            wg_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
+            wg_minor_words = words;
             wg_major_collections =
               s1.Gc.major_collections - s0.Gc.major_collections;
           }

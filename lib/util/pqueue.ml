@@ -95,8 +95,6 @@ let pop t =
     Some (min.time, min.value)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
 let clear t =
   (match t.filler with
   | None -> ()

@@ -1,8 +1,9 @@
 (** Binary-heap priority queue keyed by [(time, sequence)].
 
-    The event engine needs stable FIFO ordering among events scheduled for
-    the same cycle, so each push records a monotonically increasing sequence
-    number and ties are broken by it.
+    The timing wheel's overflow tier, and the reference its property tests
+    compare against.  Both need stable FIFO ordering among events scheduled
+    for the same cycle, so each push records a monotonically increasing
+    sequence number and ties are broken by it.
 
     The heap array holds boxed entries and uses the first pushed entry as
     its fill element for freed slots (no [Obj.magic] dummy), so at most one
@@ -31,8 +32,5 @@ val pop_min : 'a t -> 'a
 (** Remove and return the minimum-time element's value.  Unlike {!pop}
     this allocates nothing; pair with {!min_time} in event loops.
     @raise Invalid_argument when empty. *)
-
-val peek_time : 'a t -> int option
-(** Time of the minimum element without removing it. *)
 
 val clear : 'a t -> unit

@@ -139,12 +139,12 @@ let pop t =
    cycle) needs to do.  [advance] only moves [cur], so restoring it
    re-permits those pushes; the skipped slots are empty either way. *)
 let peek_time t =
-  if t.size = 0 then None
+  if t.size = 0 then max_int
   else begin
     let saved = t.cur in
     let time = min_time t in
     t.cur <- saved;
-    Some time
+    time
   end
 
 let clear t =

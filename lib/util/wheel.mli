@@ -55,8 +55,11 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element with its time, or [None] when
     empty.  Convenience wrapper over {!min_time}/{!pop_min}. *)
 
-val peek_time : 'a t -> int option
-(** Time of the minimum element without removing it. *)
+val peek_time : 'a t -> int
+(** Time of the minimum element without removing it, or [max_int] when
+    empty.  Unlike {!min_time} it leaves the cursor where it was, so a
+    push at any time not before the last popped one stays legal after a
+    peek. *)
 
 val overflow_pushes : 'a t -> int
 (** Total pushes routed to the overflow heap since creation — a cheap

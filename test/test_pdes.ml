@@ -251,6 +251,31 @@ let pdes_trace_matches_wheel () =
   Alcotest.(check (list (pair string (triple int (pair int int) int))))
     "latency summaries" (project seq.Run.latency) (project pinned.Run.latency)
 
+(* ----- per-shard allocation accounting --------------------------------- *)
+
+let shard_minor_words_exact () =
+  (* Every shard that dispatched events allocated on its own domain, so
+     its profile must report a nonzero minor-word count — a count taken
+     from stale GC statistics reads 0 on a domain that has not yet run a
+     minor collection. *)
+  let params = Params.bench in
+  let geom = Registry.geometry_of_params params in
+  let wl = (Registry.find "trns").Registry.build ~scale:0.25 geom in
+  let r =
+    Run.simulate ~params:(pdes_params params) ~config:(Config.by_name "SMD") wl
+  in
+  Run.assert_clean r;
+  match r.Run.shard_profile with
+  | None -> Alcotest.fail "pdes run has no shard profile"
+  | Some profs ->
+    Alcotest.(check int) "two shards" 2 (Array.length profs);
+    Array.iteri
+      (fun s (p : Spandex_sim.Pdes.shard_profile) ->
+        if p.sp_events > 0 && p.sp_minor_words <= 0. then
+          Alcotest.failf "shard %d ran %d events but reports %.0f minor words"
+            s p.sp_events p.sp_minor_words)
+      profs
+
 let tests =
   [
     test "pdes: smoke, two shards == wheel" smoke_two_shards;
@@ -263,4 +288,5 @@ let tests =
       fault_rng_per_link_deterministic;
     test "pdes: traced run == wheel (spans/instants/sends)"
       pdes_trace_matches_wheel;
+    test "pdes: per-shard minor words are exact" shard_minor_words_exact;
   ]

@@ -61,6 +61,33 @@ let engine_no_past_scheduling () =
       | exception Invalid_argument _ -> ());
   ignore (Engine.run_all e)
 
+let engine_run_allocation_free () =
+  (* The run loop itself must not allocate per event: a self-rescheduling
+     chain of one preallocated thunk and one [apply_later] continuation,
+     driven through [Engine.run], stays under one minor word per event.
+     Boxing an option per peek would cost at least two. *)
+  let e = Engine.create () in
+  let n = 20_000 in
+  let fired = ref 0 in
+  let rec thunk () =
+    incr fired;
+    Engine.apply_later e ~delay:1 cont !fired
+  and cont v =
+    incr fired;
+    if v < n then Engine.schedule e ~delay:2 thunk
+  in
+  let until_done () = !fired >= n in
+  let pending_desc () = "chain" in
+  Engine.schedule e ~delay:0 thunk;
+  let w0 = Gc.minor_words () in
+  ignore (Engine.run e ~until_done ~pending_desc : int);
+  let words = Gc.minor_words () -. w0 in
+  let events = Engine.events_processed e in
+  check_bool "at least 10k events" true (events >= 10_000);
+  let per_event = words /. float_of_int events in
+  if per_event >= 1.0 then
+    Alcotest.failf "Engine.run allocated %.2f minor words per event" per_event
+
 (* ----- Network ------------------------------------------------------------------- *)
 
 let msg ?(payload = Msg.No_data) ~src ~dst () =
@@ -260,6 +287,7 @@ let tests =
     test "engine_deadlock_detection" engine_deadlock_detection;
     test "engine_step_limit" engine_step_limit;
     test "engine_no_past_scheduling" engine_no_past_scheduling;
+    test "engine_run_allocation_free" engine_run_allocation_free;
     test "network_delivery_latency" network_delivery_latency;
     test "network_ingress_serialization" network_ingress_serialization;
     test "network_point_to_point_fifo" network_point_to_point_fifo;

@@ -102,7 +102,7 @@ let pqueue_ordering () =
   Pqueue.push q ~time:5 "c";
   Pqueue.push q ~time:1 "a";
   Pqueue.push q ~time:3 "b";
-  Alcotest.(check (option int)) "peek" (Some 1) (Pqueue.peek_time q);
+  check_int "min_time" 1 (Pqueue.min_time q);
   let pop () = Option.map snd (Pqueue.pop q) in
   Alcotest.(check (option string)) "first" (Some "a") (pop ());
   Alcotest.(check (option string)) "second" (Some "b") (pop ());
@@ -129,7 +129,7 @@ let pqueue_prop =
       drain [] = List.sort compare times)
 
 let pqueue_alloc_free_api () =
-  (* min_time/pop_min mirror peek_time/pop without the option/tuple boxing;
+  (* min_time/pop_min mirror pop without the tuple/option boxing;
      they must agree and raise on empty. *)
   let q = Pqueue.create ~capacity:1 () in
   Alcotest.check_raises "min_time empty"

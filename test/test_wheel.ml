@@ -1,8 +1,8 @@
 (* Unit and property tests for the timing-wheel scheduler, mirroring the
    Pqueue suite: sort order, FIFO tie-break among equal cycles, the
-   overflow-heap handoff for far-future times, clear/reuse, and engine-level
-   equivalence between the wheel and heap backends on identical random
-   schedules. *)
+   overflow-heap handoff for far-future times, clear/reuse, and agreement
+   with the reference Pqueue on drained and on interleaved push/peek/pop
+   sequences. *)
 
 module Wheel = Spandex_util.Wheel
 module Pqueue = Spandex_util.Pqueue
@@ -22,12 +22,13 @@ let wheel_ordering () =
   Wheel.push q ~time:5 "c";
   Wheel.push q ~time:1 "a";
   Wheel.push q ~time:3 "b";
-  Alcotest.(check (option int)) "peek" (Some 1) (Wheel.peek_time q);
+  check_int "peek" 1 (Wheel.peek_time q);
   let pop () = Option.map snd (Wheel.pop q) in
   Alcotest.(check (option string)) "first" (Some "a") (pop ());
   Alcotest.(check (option string)) "second" (Some "b") (pop ());
   Alcotest.(check (option string)) "third" (Some "c") (pop ());
-  Alcotest.(check (option string)) "empty" None (pop ())
+  Alcotest.(check (option string)) "empty" None (pop ());
+  check_int "peek empty" max_int (Wheel.peek_time q)
 
 let wheel_fifo_ties () =
   let q = Wheel.create ~dummy:0 () in
@@ -96,6 +97,12 @@ let drain q =
   in
   go []
 
+let drain_pqueue h =
+  let rec go acc =
+    match Pqueue.pop h with None -> List.rev acc | Some tv -> go (tv :: acc)
+  in
+  go []
+
 let wheel_props =
   let open QCheck2 in
   [
@@ -130,12 +137,46 @@ let wheel_props =
             Wheel.push q ~time:t i;
             Pqueue.push h ~time:t i)
           times;
-        let rec drain_h acc =
-          match Pqueue.pop h with
-          | None -> List.rev acc
-          | Some tv -> drain_h (tv :: acc)
+        drain q = drain_pqueue h);
+    Test.make ~name:"wheel_matches_pqueue_interleaved"
+      (* Pushes, peeks and pops in random order, replayed on the wheel and
+         on the reference heap: every pop and peek must agree.  Pushes are
+         never in the past (the clock is the last popped time) and their
+         offsets straddle the 16-cycle horizon.  Each peek is followed by
+         a push at the present cycle, which must still be accepted. *)
+      Gen.(list_size (int_bound 400) (pair (int_bound 2) (int_bound 40)))
+      (fun ops ->
+        let q = small_wheel () in
+        let h = Pqueue.create () in
+        let now = ref 0 and next = ref 0 in
+        let push time =
+          Wheel.push q ~time !next;
+          Pqueue.push h ~time !next;
+          incr next
         in
-        drain q = drain_h []);
+        List.for_all
+          (fun (op, off) ->
+            match op with
+            | 0 ->
+              push (!now + off);
+              true
+            | 1 ->
+              let expect =
+                if Pqueue.is_empty h then max_int else Pqueue.min_time h
+              in
+              let ok = Wheel.peek_time q = expect in
+              push !now;
+              ok
+            | _ ->
+              Pqueue.is_empty h = Wheel.is_empty q
+              && (Pqueue.is_empty h
+                 ||
+                 let t = Wheel.min_time q in
+                 let v = Wheel.pop_min q in
+                 now := t;
+                 t = Pqueue.min_time h && v = Pqueue.pop_min h))
+          ops
+        && drain q = drain_pqueue h);
     Test.make ~name:"wheel_clear_reuse"
       Gen.(
         pair
@@ -169,43 +210,6 @@ let wheel_interleaved () =
   done;
   check_bool "overflow exercised" true (Wheel.overflow_pushes q > 0)
 
-(* ----- engine backend equivalence ------------------------------------------ *)
-
-(* Run the same self-expanding schedule on both engine backends and compare
-   the full execution traces (cycle, label).  Each handler deterministically
-   schedules follow-ups from its own seeded stream, including far-future
-   delays that only the overflow heap can serve. *)
-let engine_backends_agree () =
-  let trace backend =
-    let e = Engine.create ~backend () in
-    let rng = Rng.create ~seed:42 in
-    let log = ref [] in
-    let rec work depth label () =
-      log := (Engine.now e, label) :: !log;
-      if depth < 4 then
-        let fanout = Rng.int rng 3 in
-        for i = 0 to fanout - 1 do
-          let delay =
-            match Rng.int rng 4 with
-            | 0 -> 0
-            | 1 -> Rng.int rng 8
-            | 2 -> Rng.int rng 100
-            | _ -> 400 + Rng.int rng 2000  (* beyond the wheel horizon *)
-          in
-          Engine.schedule e ~delay (work (depth + 1) ((label * 10) + i))
-        done
-    in
-    for root = 0 to 19 do
-      Engine.schedule e ~delay:(Rng.int rng 600) (work 0 root)
-    done;
-    ignore (Engine.run_all e : int);
-    List.rev !log
-  in
-  let w = trace Engine.Wheel_backend in
-  let h = trace Engine.Heap_backend in
-  check_int "same event count" (List.length h) (List.length w);
-  check_bool "identical traces" true (w = h)
-
 let engine_overflow_order () =
   (* Far-future thunks (watchdog-beat distances) interleave correctly with
      a dense near-term stream. *)
@@ -232,7 +236,6 @@ let tests =
     test "wheel_overflow_handoff" wheel_overflow_handoff;
     test "wheel_overflow_fifo_with_slots" wheel_overflow_fifo_with_slots;
     test "wheel_interleaved" wheel_interleaved;
-    test "engine_backends_agree" engine_backends_agree;
     test "engine_overflow_order" engine_overflow_order;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) wheel_props
