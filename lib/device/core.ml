@@ -13,6 +13,12 @@ type context = {
      closure per context is enough. *)
   mutable wake : unit -> unit;
   mutable wake_int : int -> unit;  (* [wake] discarding a loaded value. *)
+  mutable check_k : int -> unit;
+      (* [Check] continuation: verifies the loaded value against
+         [check_expected] for [check_addr], set by [issue] — a context has
+         at most one op outstanding. *)
+  mutable check_addr : Spandex_proto.Addr.t;
+  mutable check_expected : int;
 }
 
 type t = {
@@ -76,18 +82,9 @@ and issue t =
       t.port.Port.load a ~k:ctx.wake_int
     | Ops.Check (a, expected) ->
       Stats.bump t.stats t.k_loads;
-      t.port.Port.load a ~k:(fun actual ->
-          Check_log.incr_checks t.check_log;
-          if actual <> expected then
-            Check_log.record t.check_log
-              {
-                Check_log.core = t.core_id;
-                addr = a;
-                expected;
-                actual;
-                cycle = Engine.now t.engine;
-              };
-          wake ())
+      ctx.check_addr <- a;
+      ctx.check_expected <- expected;
+      t.port.Port.load a ~k:ctx.check_k
     | Ops.Store (a, value) ->
       Stats.bump t.stats t.k_stores;
       t.port.Port.store a ~value ~k:wake
@@ -131,6 +128,9 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
           state = (if Array.length ops = 0 then Finished else Ready);
           wake = ignore;
           wake_int = ignore;
+          check_k = ignore;
+          check_addr = Spandex_proto.Addr.make ~line:0 ~word:0;
+          check_expected = 0;
         })
       programs
   in
@@ -176,7 +176,20 @@ let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
         arm t
       in
       ctx.wake <- wake;
-      ctx.wake_int <- (fun _v -> wake ()))
+      ctx.wake_int <- (fun _v -> wake ());
+      ctx.check_k <-
+        (fun actual ->
+          Check_log.incr_checks t.check_log;
+          if actual <> ctx.check_expected then
+            Check_log.record t.check_log
+              {
+                Check_log.core = t.core_id;
+                addr = ctx.check_addr;
+                expected = ctx.check_expected;
+                actual;
+                cycle = Engine.now t.engine;
+              };
+          wake ()))
     t.contexts;
   t.issue_thunk <-
     (fun () ->

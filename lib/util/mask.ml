@@ -25,19 +25,21 @@ let count m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let iter m ~f =
-  let rec go i m =
-    if m <> 0 then begin
-      if m land 1 <> 0 then f i;
-      go (i + 1) (m lsr 1)
-    end
-  in
-  go 0 m
+(* [iter] and [fold] are top-level loops taking [f] as an argument: a local
+   [let rec] closing over [f], or a [ref] accumulator, would allocate on
+   every call, and these run in every protocol handler. *)
+let rec iter_from f i m =
+  if m <> 0 then begin
+    if m land 1 <> 0 then f i;
+    iter_from f (i + 1) (m lsr 1)
+  end
 
-let fold m ~init ~f =
-  let acc = ref init in
-  iter m ~f:(fun i -> acc := f !acc i);
-  !acc
+let rec fold_from f i m acc =
+  if m = 0 then acc
+  else fold_from f (i + 1) (m lsr 1) (if m land 1 <> 0 then f acc i else acc)
+
+let iter m ~f = iter_from f 0 m
+let fold m ~init ~f = fold_from f 0 m init
 
 let to_list m = List.rev (fold m ~init:[] ~f:(fun acc i -> i :: acc))
 let of_list l = List.fold_left add empty l

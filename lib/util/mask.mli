@@ -34,9 +34,13 @@ val count : t -> int
 (** Population count. *)
 
 val iter : t -> f:(int -> unit) -> unit
-(** Visit set word indices in increasing order. *)
+(** Visit set word indices in increasing order.  Allocation-free: only
+    [f] itself can allocate. *)
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+(** Fold over set word indices in increasing order.  Allocation-free, like
+    {!iter}. *)
+
 val to_list : t -> int list
 val of_list : int list -> t
 val equal : t -> t -> bool

@@ -45,10 +45,12 @@ let grow t =
   t.touched <- touched;
   t.is_max <- is_max
 
+(* [find] with a handler rather than [find_opt]: no [Some] box, so a
+   string-keyed [incr]/[add] on an existing counter allocates nothing. *)
 let key t name =
-  match Hashtbl.find_opt t.index name with
-  | Some k -> k
-  | None ->
+  match Hashtbl.find t.index name with
+  | k -> k
+  | exception Not_found ->
     if t.n = Array.length t.counts then grow t;
     let k = t.n in
     t.n <- k + 1;

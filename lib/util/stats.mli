@@ -35,7 +35,9 @@ val get_key : t -> key -> int
 (** {1 String-keyed API} *)
 
 val incr : t -> string -> unit
-(** Add 1 to a named counter, creating it at 0 if absent. *)
+(** Add 1 to a named counter, creating it at 0 if absent.  Bumping a
+    counter that already exists allocates nothing; the name is still
+    hashed on every call. *)
 
 val add : t -> string -> int -> unit
 val get : t -> string -> int

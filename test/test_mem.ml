@@ -84,6 +84,162 @@ let frame_remove_iter () =
   Cache_frame.remove f ~line:1 (* idempotent *);
   check_int "still 2" 2 (Cache_frame.count f)
 
+let frame_hit_path_allocation_free () =
+  (* Every L1/LLC action looks a line up in a tag array: lookup, LRU touch,
+     removal and an insert into a free way must touch no heap. *)
+  let f = Cache_frame.create ~sets:4 ~ways:4 in
+  let meta = "m" in
+  let can_evict ~line:_ _ = true in
+  for line = 0 to 7 do
+    ignore (Cache_frame.insert f ~line meta ~can_evict)
+  done;
+  let n = 10_000 in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    let line = i land 7 in
+    if Cache_frame.find_exn f ~line == meta then incr hits;
+    Cache_frame.touch f ~line;
+    Cache_frame.remove f ~line;
+    match Cache_frame.insert f ~line meta ~can_evict with
+    | Cache_frame.Inserted -> ()
+    | _ -> Alcotest.fail "expected a free way"
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "hits" n !hits;
+  check_int "count" 8 (Cache_frame.count f);
+  if words /. float_of_int n >= 0.01 then
+    Alcotest.failf
+      "find_exn/touch/remove/insert allocated %.2f minor words per round"
+      (words /. float_of_int n)
+
+let frame_evicting_insert_allocation () =
+  (* A full set evicts on every insert; the only allocation is the
+     [Evicted (line, meta)] box handed back to the caller (3 words). *)
+  let ways = 4 in
+  let f = Cache_frame.create ~sets:1 ~ways in
+  let meta = "m" in
+  let can_evict ~line:_ _ = true in
+  for line = 0 to ways - 1 do
+    ignore (Cache_frame.insert f ~line meta ~can_evict)
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for line = ways to ways + n - 1 do
+    match Cache_frame.insert f ~line meta ~can_evict with
+    | Cache_frame.Evicted (v, _) when v = line - ways -> ()
+    | _ -> Alcotest.fail "expected the LRU line to be evicted"
+  done;
+  let per_insert = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_insert > 3.01 then
+    Alcotest.failf "evicting insert allocated %.2f minor words (box is 3)"
+      per_insert
+
+(* Random insert/touch/remove/find/lru_matching sequences against a
+   list-based LRU model: each set is a list of (line, meta), most recently
+   used first.  Lines are 0..15 and a pin mask marks lines [can_evict] /
+   [f] reject. *)
+type frame_op =
+  | F_insert of int * int  (** line, pin mask *)
+  | F_touch of int
+  | F_remove of int
+  | F_find of int
+  | F_lru of int * int  (** set line, pin mask *)
+
+let frame_op_gen =
+  let open QCheck2.Gen in
+  let line = int_bound 15 and pins = int_bound 0xFFFF in
+  frequency
+    [
+      (4, map2 (fun l p -> F_insert (l, p)) line pins);
+      (2, map (fun l -> F_touch l) line);
+      (2, map (fun l -> F_remove l) line);
+      (1, map (fun l -> F_find l) line);
+      (1, map2 (fun l p -> F_lru (l, p)) line pins);
+    ]
+
+let pp_frame_op = function
+  | F_insert (l, p) -> Printf.sprintf "insert %d pins=%x" l p
+  | F_touch l -> Printf.sprintf "touch %d" l
+  | F_remove l -> Printf.sprintf "remove %d" l
+  | F_find l -> Printf.sprintf "find %d" l
+  | F_lru (l, p) -> Printf.sprintf "lru %d pins=%x" l p
+
+let unpinned pins line = pins land (1 lsl line) = 0
+
+(* LRU-most entry of a MRU-first list accepted by [ok]. *)
+let model_lru ok set =
+  List.fold_left (fun acc (l, m) -> if ok l then Some (l, m) else acc) None set
+
+let frame_matches_model =
+  QCheck2.Test.make ~name:"frame_matches_lru_model" ~count:300
+    ~print:(fun (sets, ways, ops) ->
+      Printf.sprintf "sets=%d ways=%d [%s]" sets ways
+        (String.concat "; " (List.map pp_frame_op ops)))
+    QCheck2.Gen.(
+      triple (int_range 1 4) (int_range 1 4)
+        (list_size (int_bound 200) frame_op_gen))
+    (fun (sets, ways, ops) ->
+      let f = Cache_frame.create ~sets ~ways in
+      let model = Array.make sets [] in
+      let present line = List.mem_assoc line model.(line mod sets) in
+      let step i op =
+        match op with
+        | F_insert (line, pins) when not (present line) ->
+          let s = line mod sets in
+          let got =
+            Cache_frame.insert f ~line i ~can_evict:(fun ~line _ ->
+                unpinned pins line)
+          in
+          let want =
+            if List.length model.(s) < ways then begin
+              model.(s) <- (line, i) :: model.(s);
+              Cache_frame.Inserted
+            end
+            else
+              match model_lru (unpinned pins) model.(s) with
+              | None -> Cache_frame.No_room
+              | Some (v, vm) ->
+                model.(s) <- (line, i) :: List.remove_assoc v model.(s);
+                Cache_frame.Evicted (v, vm)
+          in
+          got = want
+        | F_insert _ -> true
+        | F_touch line ->
+          Cache_frame.touch f ~line;
+          let s = line mod sets in
+          (match List.assoc_opt line model.(s) with
+          | Some m -> model.(s) <- (line, m) :: List.remove_assoc line model.(s)
+          | None -> ());
+          true
+        | F_remove line ->
+          Cache_frame.remove f ~line;
+          let s = line mod sets in
+          model.(s) <- List.remove_assoc line model.(s);
+          true
+        | F_find line ->
+          Cache_frame.find f ~line = List.assoc_opt line model.(line mod sets)
+          && Cache_frame.mem f ~line = present line
+        | F_lru (set_line, pins) ->
+          Cache_frame.lru_matching f ~set_line ~f:(fun ~line _ ->
+              unpinned pins line)
+          = model_lru (unpinned pins) model.(set_line mod sets)
+      in
+      let contents () =
+        List.sort compare
+          (Cache_frame.fold f ~init:[] ~f:(fun acc ~line m -> (line, m) :: acc))
+      in
+      let model_contents () =
+        List.sort compare (List.concat (Array.to_list model))
+      in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i op ->
+             step i op
+             && Cache_frame.count f = List.length (model_contents ()))
+           ops)
+      && contents () = model_contents ())
+
 let frame_size_lines () =
   let sets, ways = Cache_frame.size_lines ~bytes:(32 * 1024) ~ways:8 in
   check_int "sets" 64 sets;
@@ -194,6 +350,8 @@ let tests =
     test "frame_sets_disjoint" frame_sets_disjoint;
     test "frame_remove_iter" frame_remove_iter;
     test "frame_size_lines" frame_size_lines;
+    test "frame_hit_path_allocation_free" frame_hit_path_allocation_free;
+    test "frame_evicting_insert_allocation" frame_evicting_insert_allocation;
     test "mshr_alloc_free" mshr_alloc_free;
     test "mshr_find_first_oldest" mshr_find_first_oldest;
     test "sb_coalesce" sb_coalesce;
@@ -203,3 +361,4 @@ let tests =
     test "dram_latency_and_bandwidth" dram_latency_and_bandwidth;
     test "dram_copy_isolated" dram_copy_isolated;
   ]
+  @ [ QCheck_alcotest.to_alcotest ~long:false frame_matches_model ]

@@ -25,6 +25,36 @@ let mask_iter_order () =
   let m = Mask.of_list [ 14; 2; 7; 0 ] in
   Alcotest.(check (list int)) "sorted order" [ 0; 2; 7; 14 ] (Mask.to_list m)
 
+let mask_iter_fold_allocation_free () =
+  (* Every protocol handler folds over a word mask, so [iter]/[fold] with
+     a preallocated [f] must not allocate: a local closure over [f] or a
+     [ref] accumulator would cost several words per call. *)
+  let n = 10_000 in
+  let m = Mask.of_list [ 0; 3; 7; 8; 15 ] in
+  let sum = ref 0 in
+  let visit i = sum := !sum + i in
+  let add acc i = acc + i in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Mask.iter m ~f:visit
+  done;
+  let iter_words = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  let total = ref 0 in
+  for _ = 1 to n do
+    total := !total + Mask.fold m ~init:0 ~f:add
+  done;
+  let fold_words = Gc.minor_words () -. w0 in
+  check_int "iter visited" (n * 33) !sum;
+  check_int "fold summed" (n * 33) !total;
+  let per_call w = w /. float_of_int n in
+  if per_call iter_words >= 1.0 then
+    Alcotest.failf "Mask.iter allocated %.2f minor words per call"
+      (per_call iter_words);
+  if per_call fold_words >= 1.0 then
+    Alcotest.failf "Mask.fold allocated %.2f minor words per call"
+      (per_call fold_words)
+
 let mask_pp () =
   let s = Format.asprintf "%a" (Mask.pp ~words:8) (Mask.of_list [ 0; 7 ]) in
   Alcotest.(check string) "pp" "10000001" s
@@ -334,6 +364,23 @@ let stats_get_prefixed () =
   check_int "get_prefixed" 3 (Stats.get_prefixed dst ~prefix:"n" "x.y");
   check_int "absent" 0 (Stats.get_prefixed dst ~prefix:"m" "x.y")
 
+let stats_string_incr_allocation_free () =
+  (* The string-keyed API resolves an existing name without boxing an
+     option, so bumping a counter that already exists allocates nothing. *)
+  let s = Stats.create () in
+  Stats.incr s "evictions";
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Stats.incr s "evictions";
+    Stats.add s "evictions" 2
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "counted" (1 + (3 * n)) (Stats.get s "evictions");
+  if words /. float_of_int n >= 0.1 then
+    Alcotest.failf "string-keyed incr/add allocated %.2f minor words per call"
+      (words /. float_of_int n)
+
 let stats_interned_agrees =
   (* The interned-key fast path and the string API must be observationally
      identical: same counters, same values, same visibility. *)
@@ -359,6 +406,7 @@ let tests =
   [
     test "mask_basics" mask_basics;
     test "mask_iter_order" mask_iter_order;
+    test "mask_iter_fold_allocation_free" mask_iter_fold_allocation_free;
     test "mask_pp" mask_pp;
     test "pqueue_ordering" pqueue_ordering;
     test "pqueue_fifo_ties" pqueue_fifo_ties;
@@ -374,6 +422,7 @@ let tests =
     test "stats_merge_max" stats_merge_max;
     test "stats_interned_visibility" stats_interned_visibility;
     test "stats_get_prefixed" stats_get_prefixed;
+    test "stats_string_incr_allocation_free" stats_string_incr_allocation_free;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
