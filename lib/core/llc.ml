@@ -46,6 +46,13 @@ type pending =
       resume : unit -> unit;
     }
 
+(* The write a request performs once the line has no sharers left. *)
+type write_action =
+  | Write_through  (** ReqWT *)
+  | Write_own  (** ReqO *)
+  | Write_through_data  (** ReqWT+data *)
+  | Write_own_data  (** ReqO+data, and ReqS option (3) *)
+
 type recall_req = {
   rkind : Backing.recall_kind;
   rk : (int array * bool) option -> unit;
@@ -135,7 +142,7 @@ let send t (msg : Msg.t) =
 let respond t (req : Msg.t) ~kind ~mask ?payload () =
   if not (Mask.is_empty mask) then begin
     let msg =
-      Msg.make ~txn:req.Msg.txn ~kind:(Msg.Rsp kind) ~line:req.Msg.line ~mask
+      Msg.make ~txn:req.Msg.txn ~kind:(Msg.rsp kind) ~line:req.Msg.line ~mask
         ?payload ~src:(bank_of t.cfg req.Msg.line) ~dst:req.Msg.requestor ()
     in
     (match t.replay with
@@ -156,7 +163,7 @@ let respond_data t (req : Msg.t) meta ~kind ~mask =
 
 let forward t (req : Msg.t) ~kind ~dst ~mask ?demand ?amo () =
   let msg =
-    Msg.make ~txn:req.Msg.txn ~kind:(Msg.Req kind) ~line:req.Msg.line ~mask
+    Msg.make ~txn:req.Msg.txn ~kind:(Msg.req kind) ~line:req.Msg.line ~mask
       ?demand ~src:(bank_of t.cfg req.Msg.line) ~dst
       ~requestor:req.Msg.requestor ~fwd:true ?amo ()
   in
@@ -174,32 +181,68 @@ let probe t ~kind ~dst ~line ~mask =
   send t
     (Msg.make
        ~txn:(Txn.next (bank t line).bk_txns)
-       ~kind:(Msg.Probe kind) ~line ~mask ~src:(bank_of t.cfg line) ~dst ())
+       ~kind:(Msg.probe kind) ~line ~mask ~src:(bank_of t.cfg line) ~dst ())
 
 (* ----- per-word owner bookkeeping ----------------------------------------- *)
 
-(* Group the remotely-owned words of [mask] by owner. *)
-let owner_groups meta mask =
-  Mask.fold (Mask.inter mask meta.owned) ~init:[] ~f:(fun acc w ->
-      let o = meta.owner.(w) in
-      match List.assoc_opt o acc with
-      | Some m -> (o, Mask.add m w) :: List.remove_assoc o acc
-      | None -> (o, Mask.singleton w) :: acc)
+(* The bookkeeping below runs in every request handler, so it is written as
+   top-level loops over the word index: a [Mask.fold] closure over [meta]
+   or [owner] would be allocated on every call. *)
+
+(* Words of [m] at index [w] and above that are registered to [owner]. *)
+let rec owned_from meta ~owner m w acc =
+  if w >= Addr.words_per_line then acc
+  else
+    owned_from meta ~owner m (w + 1)
+      (if Mask.mem m w && meta.owner.(w) = owner then Mask.add acc w else acc)
+
+let words_owned_by meta ~mask ~owner =
+  owned_from meta ~owner (Mask.inter mask meta.owned) 0 Mask.empty
 
 (* Every word of the line owned by [o]. *)
-let full_holding meta o =
-  Mask.fold meta.owned ~init:Mask.empty ~f:(fun acc w ->
-      if meta.owner.(w) = o then Mask.add acc w else acc)
+let full_holding meta o = owned_from meta ~owner:o meta.owned 0 Mask.empty
+
+let rec highest_word m w =
+  if w < 0 || Mask.mem m w then w else highest_word m (w - 1)
+
+(* Group the owned words of [m] by owner, one pass per distinct owner.  The
+   owner of the highest word comes first, then the owner of the highest
+   word left, and so on: this order fixes the order forwards are sent in,
+   and with it delivery ties. *)
+let rec groups_of meta m =
+  let w = highest_word m (Addr.words_per_line - 1) in
+  if w < 0 then []
+  else
+    let o = meta.owner.(w) in
+    let sub = owned_from meta ~owner:o m 0 Mask.empty in
+    (o, sub) :: groups_of meta (Mask.diff m sub)
+
+(* Group the remotely-owned words of [mask] by owner. *)
+let owner_groups meta mask = groups_of meta (Mask.inter mask meta.owned)
+
+let rec set_owner meta ~to_ m w =
+  if w < Addr.words_per_line then begin
+    if Mask.mem m w then meta.owner.(w) <- to_;
+    set_owner meta ~to_ m (w + 1)
+  end
 
 let grant_ownership meta ~mask ~to_ =
-  Mask.iter mask ~f:(fun w -> meta.owner.(w) <- to_);
+  set_owner meta ~to_ mask 0;
   meta.owned <- Mask.union meta.owned mask
 
 let clear_ownership meta ~mask = meta.owned <- Mask.diff meta.owned mask
 
-let words_owned_by meta ~mask ~owner =
-  Mask.fold (Mask.inter mask meta.owned) ~init:Mask.empty ~f:(fun acc w ->
-      if meta.owner.(w) = owner then Mask.add acc w else acc)
+(* Forward [kind] to each owner group other than the requestor's own,
+   counting each under [stat]; returns the union of the forwarded words. *)
+let rec forward_groups t (msg : Msg.t) ~kind ~stat acc = function
+  | [] -> acc
+  | (o, sub) :: rest ->
+    if o = msg.Msg.requestor then forward_groups t msg ~kind ~stat acc rest
+    else begin
+      Stats.incr (bank t msg.Msg.line).bk_stats stat;
+      forward t msg ~kind ~dst:o ~mask:sub ();
+      forward_groups t msg ~kind ~stat (Mask.union acc sub) rest
+    end
 
 (* ----- request classification --------------------------------------------- *)
 
@@ -280,29 +323,34 @@ and dispatch t meta (msg : Msg.t) kind =
   match kind with
   | Msg.ReqV -> do_reqv t meta msg
   | Msg.ReqS -> do_reqs t meta msg
-  | Msg.ReqWT -> with_no_sharers t meta msg (fun () -> do_reqwt t meta msg)
-  | Msg.ReqO -> with_no_sharers t meta msg (fun () -> do_reqo t meta msg)
-  | Msg.ReqWTdata ->
-    with_no_sharers t meta msg (fun () -> do_reqwtdata t meta msg)
-  | Msg.ReqOdata ->
-    with_no_sharers t meta msg (fun () ->
-        do_grant_with_data t meta msg ~rsp:Msg.RspOdata)
+  | Msg.ReqWT -> with_no_sharers t meta msg Write_through
+  | Msg.ReqO -> with_no_sharers t meta msg Write_own
+  | Msg.ReqWTdata -> with_no_sharers t meta msg Write_through_data
+  | Msg.ReqOdata -> with_no_sharers t meta msg Write_own_data
   | Msg.ReqWB ->
     apply_wb t meta msg;
     respond t msg ~kind:Msg.RspWB ~mask:msg.Msg.mask ()
 
+and write t meta (msg : Msg.t) = function
+  | Write_through -> do_reqwt t meta msg
+  | Write_own -> do_reqo t meta msg
+  | Write_through_data -> do_reqwtdata t meta msg
+  | Write_own_data -> do_grant_with_data t meta msg ~rsp:Msg.RspOdata
+
 (* Writes to Shared data must invalidate every sharer first and block while
-   acks are collected (paper §III-B). The writer itself keeps its copy. *)
-and with_no_sharers t meta (msg : Msg.t) next =
-  if meta.lstate <> State.L_S then next ()
+   acks are collected (paper §III-B). The writer itself keeps its copy.
+   The action is named by a constant, so the resume closure is built only
+   when the line really is Shared. *)
+and with_no_sharers t meta (msg : Msg.t) action =
+  if meta.lstate <> State.L_S then write t meta msg action
   else begin
     let targets = List.filter (fun d -> d <> msg.Msg.requestor) meta.sharers in
     meta.sharers <- [];
     meta.lstate <- State.L_V;
-    if targets = [] then next ()
+    if targets = [] then write t meta msg action
     else begin
       Stats.incr (bank t msg.Msg.line).bk_stats "inv_bursts";
-      (* [next] captures [msg] and runs after the ack collection. *)
+      (* The resume captures [msg] and runs after the ack collection. *)
       Msg.keep msg;
       meta.pending <-
         Some
@@ -311,7 +359,7 @@ and with_no_sharers t meta (msg : Msg.t) next =
                acks_left = List.length targets;
                resume =
                  (fun () ->
-                   next ();
+                   write t meta msg action;
                    after_pending t msg.Msg.line);
              });
       List.iter
@@ -329,24 +377,26 @@ and with_no_sharers t meta (msg : Msg.t) next =
 and do_reqv t meta (msg : Msg.t) =
   let local = Mask.diff msg.Msg.mask meta.owned in
   respond_data t msg meta ~kind:Msg.RspV ~mask:local;
-  let fwd_words = Mask.inter msg.Msg.mask meta.owned in
-  List.iter
-    (fun (o, sub) ->
-      let demanded = Mask.inter sub msg.Msg.demand in
-      if o = msg.Msg.requestor then begin
-        (* The requestor was granted ownership (e.g. by another of its
-           contexts) after issuing this ReqV; the LLC has no data to give.
-           Nack so its TU retries and hits locally. *)
-        if not (Mask.is_empty demanded) then begin
-          Stats.incr (bank t msg.Msg.line).bk_stats "reqv_self_nack";
-          respond t msg ~kind:Msg.Nack ~mask:demanded ()
-        end
+  forward_reqv t msg (owner_groups meta msg.Msg.mask)
+
+and forward_reqv t (msg : Msg.t) = function
+  | [] -> ()
+  | (o, sub) :: rest ->
+    let demanded = Mask.inter sub msg.Msg.demand in
+    if o = msg.Msg.requestor then begin
+      (* The requestor was granted ownership (e.g. by another of its
+         contexts) after issuing this ReqV; the LLC has no data to give.
+         Nack so its TU retries and hits locally. *)
+      if not (Mask.is_empty demanded) then begin
+        Stats.incr (bank t msg.Msg.line).bk_stats "reqv_self_nack";
+        respond t msg ~kind:Msg.Nack ~mask:demanded ()
       end
-      else begin
-        Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqv";
-        forward t msg ~kind:Msg.ReqV ~dst:o ~mask:sub ~demand:demanded ()
-      end)
-    (owner_groups meta fwd_words)
+    end
+    else begin
+      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqv";
+      forward t msg ~kind:Msg.ReqV ~dst:o ~mask:sub ~demand:demanded ()
+    end;
+    forward_reqv t msg rest
 
 (* ReqS: option (1) when the line is Shared or a MESI device owns target
    words, option (3) otherwise (§III-B "Supporting Shared State"). *)
@@ -426,8 +476,7 @@ and do_reqs t meta (msg : Msg.t) =
   end
   else begin
     Stats.incr bk.bk_stats "reqs_opt3";
-    with_no_sharers t meta msg (fun () ->
-        do_grant_with_data t meta msg ~rsp:Msg.RspOdata)
+    with_no_sharers t meta msg Write_own_data
   end
 
 (* ReqWT: the LLC is updated and ownership revoked immediately; prior owners
@@ -436,22 +485,14 @@ and do_reqs t meta (msg : Msg.t) =
 and do_reqwt t meta (msg : Msg.t) =
   let values = payload_values msg in
   let self = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.requestor in
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
+  let groups = owner_groups meta msg.Msg.mask in
   Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:meta.data;
   meta.dirty <- true;
   clear_ownership meta ~mask:msg.Msg.mask;
   let fwd_mask =
-    List.fold_left (fun acc (_, sub) -> Mask.union acc sub) Mask.empty groups
+    forward_groups t msg ~kind:Msg.ReqO ~stat:"fwd_wt_revoke" Mask.empty
+      groups
   in
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_wt_revoke";
-      forward t msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
-    groups;
   respond t msg ~kind:Msg.RspWT
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
     ()
@@ -459,20 +500,11 @@ and do_reqwt t meta (msg : Msg.t) =
 (* ReqO: non-blocking ownership transfer (Fig. 1a). *)
 and do_reqo t meta (msg : Msg.t) =
   let self = words_owned_by meta ~mask:msg.Msg.mask ~owner:msg.Msg.requestor in
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
-  let fwd_mask =
-    List.fold_left (fun acc (_, sub) -> Mask.union acc sub) Mask.empty groups
-  in
+  let groups = owner_groups meta msg.Msg.mask in
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor;
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqo";
-      forward t msg ~kind:Msg.ReqO ~dst:o ~mask:sub ())
-    groups;
+  let fwd_mask =
+    forward_groups t msg ~kind:Msg.ReqO ~stat:"fwd_reqo" Mask.empty groups
+  in
   respond t msg ~kind:Msg.RspO
     ~mask:(Mask.union (Mask.diff msg.Msg.mask fwd_mask) self)
     ()
@@ -486,17 +518,12 @@ and do_grant_with_data t meta (msg : Msg.t) ~rsp =
     (* The requestor already owns these words; its copy is the truth, so no
        data can be supplied.  This only arises from defensive retries. *)
     respond t msg ~kind:Msg.RspO ~mask:self ();
-  let groups =
-    List.filter
-      (fun (o, _) -> o <> msg.Msg.requestor)
-      (owner_groups meta msg.Msg.mask)
-  in
+  let groups = owner_groups meta msg.Msg.mask in
   respond_data t msg meta ~kind:rsp ~mask:local;
-  List.iter
-    (fun (o, sub) ->
-      Stats.incr (bank t msg.Msg.line).bk_stats "fwd_reqodata";
-      forward t msg ~kind:Msg.ReqOdata ~dst:o ~mask:sub ())
-    groups;
+  ignore
+    (forward_groups t msg ~kind:Msg.ReqOdata ~stat:"fwd_reqodata" Mask.empty
+       groups
+      : Mask.t);
   grant_ownership meta ~mask:msg.Msg.mask ~to_:msg.Msg.requestor
 
 (* ReqWT+data: the update happens at the LLC, which must first collect the

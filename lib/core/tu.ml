@@ -5,7 +5,7 @@ module Linedata = Spandex_proto.Linedata
 
 type result = {
   mutable data_mask : Mask.t;
-  values : int array;
+  mutable values : int array;
   mutable acked : Mask.t;
   mutable nacked : Mask.t;
 }
@@ -18,7 +18,7 @@ let create ~demand =
     acc =
       {
         data_mask = Mask.empty;
-        values = Array.make Addr.words_per_line 0;
+        values = [||];
         acked = Mask.empty;
         nacked = Mask.empty;
       };
@@ -35,6 +35,10 @@ let absorb t (msg : Msg.t) =
   | Msg.Rsp _ -> (
     match msg.Msg.payload with
     | Msg.Data values | Msg.Data_pooled values ->
+      (* The line array is allocated on the first data response only:
+         data-less grants (ReqO, ReqWT) never pay for it. *)
+      if Array.length acc.values = 0 then
+        acc.values <- Array.make Addr.words_per_line 0;
       Linedata.unpack_into ~mask:msg.Msg.mask ~values ~full:acc.values;
       acc.data_mask <- Mask.union acc.data_mask msg.Msg.mask
     | Msg.No_data -> acc.acked <- Mask.union acc.acked msg.Msg.mask)

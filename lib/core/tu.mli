@@ -14,7 +14,11 @@ type t
 type result = {
   mutable data_mask : Spandex_util.Mask.t;
       (** words that arrived with data. *)
-  values : int array;  (** full-line array, live where [data_mask]. *)
+  mutable values : int array;
+      (** full-line array, live where [data_mask].  It is the shared empty
+          array until the first data response arrives, so read it only
+          at words in [data_mask]; a collector completed by data-less
+          acks alone never allocates it. *)
   mutable acked : Spandex_util.Mask.t;
       (** words acknowledged without data. *)
   mutable nacked : Spandex_util.Mask.t;

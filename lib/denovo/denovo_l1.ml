@@ -59,7 +59,10 @@ type read_miss = {
 type own_req = {
   o_line : int;
   o_mask : Mask.t;
-  o_values : int array;
+  o_entry : Store_buffer.entry;
+      (* the drained entry itself, its [values] the pending data: this
+         record owns it until the grant commits, then releases it to the
+         store buffer. *)
   o_collector : Tu.t;
   mutable o_stolen : Mask.t;  (* downgraded away before local commit. *)
   o_through : bool;
@@ -90,6 +93,15 @@ type outstanding =
   | Rmw of rmw_req
   | Atomic of atomic_req
 
+(* Scratch for [external_req]'s single pass over the MSHR file: the line
+   being classified, and the words of it pending per transaction kind. *)
+type scan = {
+  mutable s_line : int;
+  mutable s_own : Mask.t;
+  mutable s_rmw : Mask.t;
+  mutable s_read : Mask.t;
+}
+
 type t = {
   ch : outstanding Chassis.t;
   cfg : config;
@@ -106,6 +118,7 @@ type t = {
   k_reqo_issued : Stats.key;
   k_reqo_words : Stats.key;
   k_wb_issued : Stats.key;
+  scan : scan;
   mutable epoch : int;
 }
 
@@ -118,6 +131,14 @@ let free_txn t ~txn = Chassis.free_txn t.ch ~txn
 
 let reply t (msg : Msg.t) ~kind ~dst ~mask ?payload () =
   Chassis.reply t.ch msg ~kind ~dst ~mask ?payload ()
+
+(* Copy the [mask] words of [src] into [dst]: a top-level loop, where a
+   [Mask.iter] closure over both arrays would allocate. *)
+let rec copy_words ~mask ~src ~dst w =
+  if w < Addr.words_per_line then begin
+    if Mask.mem mask w then dst.(w) <- src.(w);
+    copy_words ~mask ~src ~dst (w + 1)
+  end
 
 (* ----- frame management ----------------------------------------------------- *)
 
@@ -179,7 +200,7 @@ let rec drain t =
         {
           o_line = e.Store_buffer.line;
           o_mask = e.Store_buffer.mask;
-          o_values = Array.copy e.Store_buffer.values;
+          o_entry = e;
           o_collector = Tu.create ~demand:e.Store_buffer.mask;
           o_stolen = Mask.empty;
           o_through = through;
@@ -206,7 +227,6 @@ let rec drain t =
             ~mask:e.Store_buffer.mask ()
         end
       | None -> assert false);
-      Store_buffer.release t.ch.Chassis.sb e;
       Chassis.wake_stalled t.ch;
       drain t
     end
@@ -215,7 +235,7 @@ let commit_own t (o : own_req) =
   let commit = Mask.diff o.o_mask o.o_stolen in
   if not (Mask.is_empty commit) then begin
     let l = get_or_alloc t o.o_line in
-    Mask.iter commit ~f:(fun w -> l.data.(w) <- o.o_values.(w));
+    copy_words ~mask:commit ~src:o.o_entry.Store_buffer.values ~dst:l.data 0;
     if o.o_through then
       (* Write-through completion: the LLC holds the data; our copy is a
          Valid replica. *)
@@ -263,15 +283,6 @@ let find_wb_covering t ~line ~word =
       if b.b_line = line && Mask.mem b.b_mask word then Some b else acc)
     t.wb_records None
 
-(* Words a converted or promoted read (ReqO+data) is mid-granting: the LLC
-   already lists this cache as their owner, but the data is still on the
-   wire. *)
-let read_own_pending t ~line ~word =
-  Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Read m -> m.r_line = line && Mask.mem m.r_own_mask word
-       | _ -> false)
-
 (* Any write-side transaction alive for [line]: a promoted (ReqO+data) read
    issued beside one could be answered with a data-less self-grant. *)
 let line_write_pending t ~line =
@@ -285,6 +296,123 @@ let line_write_pending t ~line =
           (fun _ (b : wb_req) acc -> acc || b.b_line = line)
           t.wb_records false
 
+(* ----- serving external requests -------------------------------------------- *)
+
+(* The frame line [external_req] classifies when the line is absent.  Its
+   masks are empty, so nothing is ever served from it or written to it. *)
+let no_line = { data = [||]; valid = Mask.empty; owned = Mask.empty }
+
+let scan_entry s = function
+  | Own o when o.o_line = s.s_line && not o.o_through ->
+    s.s_own <- Mask.union s.s_own (Mask.diff o.o_mask o.o_stolen);
+    s
+  | Rmw r when r.w_line = s.s_line && not r.w_stolen ->
+    s.s_rmw <- Mask.add s.s_rmw r.w_word;
+    s
+  | Read m when m.r_line = s.s_line ->
+    (* Words a converted or promoted read (ReqO+data) is mid-granting: the
+       LLC already lists this cache as their owner, but the data is still
+       on the wire. *)
+    s.s_read <- Mask.union s.s_read m.r_own_mask;
+    s
+  | Own _ | Rmw _ | Read _ | Atomic _ -> s
+
+(* Words of [line] covered by pending ownership stores (as
+   [find_own_covering ~include_through:false] sees them), by RMWs mid-grant
+   (as [find_rmw_covering]) and by reads mid-grant, in one pass over the
+   MSHR file. *)
+let scan_mshrs t ~line =
+  let s = t.scan in
+  s.s_line <- line;
+  s.s_own <- Mask.empty;
+  s.s_rmw <- Mask.empty;
+  s.s_read <- Mask.empty;
+  Mshr.fold t.ch.Chassis.outstanding ~init:s ~f:scan_entry
+
+(* Words of [line] held by write-backs in flight. *)
+let wb_words t ~line =
+  if Hashtbl.length t.wb_records = 0 then Mask.empty
+  else
+    Hashtbl.fold
+      (fun _ (b : wb_req) acc ->
+        if b.b_line = line then Mask.union acc b.b_mask else acc)
+      t.wb_records Mask.empty
+
+(* Every external but a forwarded ReqV takes the words it is served. *)
+let takes_words (msg : Msg.t) =
+  match msg.Msg.kind with Msg.Req Msg.ReqV -> false | _ -> true
+
+let respond_words t (msg : Msg.t) ~kind ~dst ~words ~values =
+  if not (Mask.is_empty words) then
+    reply t msg ~kind ~dst ~mask:words
+      ~payload:(Msg.pooled_pack ~mask:words ~full:values)
+      ()
+
+(* Answer [msg] for [words] whose truth is [values] (Table IV: expected O).
+   The caller has already downgraded the words if [takes_words msg]. *)
+let serve t (msg : Msg.t) ~words ~values =
+  match msg.Msg.kind with
+  | Msg.Req Msg.ReqV ->
+    (* No state change (Table IV: expected O, next O). *)
+    respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words ~values
+  | Msg.Req Msg.ReqO ->
+    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
+  | Msg.Req Msg.ReqOdata ->
+    respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
+      ~values
+  | Msg.Req Msg.ReqS ->
+    (* DeNovo has no Shared state: surrender the data to both the
+       requestor and the LLC and fall to Invalid. *)
+    respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words ~values;
+    respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+  | Msg.Probe Msg.RvkO ->
+    respond_words t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
+  | _ -> assert false
+
+(* Serve each word of [words] (from index [w] up) from the oldest pending
+   store covering it. *)
+let rec serve_own t msg ~line words w =
+  if w < Addr.words_per_line then begin
+    if Mask.mem words w then begin
+      match find_own_covering ~include_through:false t ~line ~word:w with
+      | Some o ->
+        let one = Mask.singleton w in
+        if takes_words msg then o.o_stolen <- Mask.union o.o_stolen one;
+        serve t msg ~words:one ~values:o.o_entry.Store_buffer.values
+      | None -> assert false
+    end;
+    serve_own t msg ~line words (w + 1)
+  end
+
+let serve_wb t (msg : Msg.t) ~line words =
+  match
+    Hashtbl.fold
+      (fun _ (b : wb_req) acc ->
+        if b.b_line = line && not (Mask.is_empty (Mask.inter b.b_mask words))
+        then Some b
+        else acc)
+      t.wb_records None
+  with
+  | None -> assert false
+  | Some b -> (
+    match msg.Msg.kind with
+    | Msg.Req Msg.ReqV ->
+      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words
+        ~values:b.b_values
+    | Msg.Req Msg.ReqO ->
+      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
+    | Msg.Req Msg.ReqOdata ->
+      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
+        ~values:b.b_values
+    | Msg.Req Msg.ReqS ->
+      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words
+        ~values:b.b_values;
+      (* Data already travels in the pending ReqWB (footnote 5). *)
+      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
+    | Msg.Probe Msg.RvkO ->
+      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
+    | _ -> assert false)
+
 (* ----- loads ---------------------------------------------------------------- *)
 
 let install_fill t (m : read_miss) (r : Tu.result) =
@@ -294,7 +422,7 @@ let install_fill t (m : read_miss) (r : Tu.result) =
   let granted = Mask.inter r.Tu.data_mask m.r_own_mask in
   if not (Mask.is_empty granted) then begin
     let l = get_or_alloc t m.r_line in
-    Mask.iter granted ~f:(fun w -> l.data.(w) <- r.Tu.values.(w));
+    copy_words ~mask:granted ~src:r.Tu.values ~dst:l.data 0;
     l.owned <- Mask.union l.owned granted;
     l.valid <- Mask.diff l.valid granted
   end;
@@ -305,7 +433,7 @@ let install_fill t (m : read_miss) (r : Tu.result) =
     let fresh =
       Mask.diff (Mask.diff r.Tu.data_mask granted) (Mask.union l.valid l.owned)
     in
-    Mask.iter fresh ~f:(fun w -> l.data.(w) <- r.Tu.values.(w));
+    copy_words ~mask:fresh ~src:r.Tu.values ~dst:l.data 0;
     l.valid <- Mask.union l.valid fresh
   end
   else Stats.incr t.ch.Chassis.stats "stale_fill_dropped"
@@ -324,7 +452,7 @@ let rec load t (addr : Addr.t) ~k =
     | Some o ->
       Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_sb_fwd;
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
-        o.o_values.(word)
+        o.o_entry.Store_buffer.values.(word)
     | None -> (
     match find_wb_covering t ~line ~word with
     | Some b ->
@@ -417,15 +545,24 @@ let rec load t (addr : Addr.t) ~k =
 and complete_read t ~txn (m : read_miss) (r : Tu.result) =
   free_txn t ~txn;
   install_fill t m r;
-  let covered, uncovered =
-    List.partition (fun (w, _) -> Mask.mem r.Tu.data_mask w) m.r_waiters
-  in
-  List.iter (fun (w, k) -> k r.Tu.values.(w)) (List.rev covered);
+  fire_covered r m.r_waiters;
   (* Waiters whose word was not in this fill re-enter the load path. *)
-  List.iter
-    (fun (w, k) -> load t { Addr.line = m.r_line; word = w } ~k)
-    (List.rev uncovered);
+  reload_uncovered t ~line:m.r_line r m.r_waiters;
   drain t
+
+(* The waiter list is newest-first; both walks recurse before acting, so
+   waiters are served oldest-first, without reversing or partitioning. *)
+and fire_covered (r : Tu.result) = function
+  | [] -> ()
+  | (w, k) :: rest ->
+    fire_covered r rest;
+    if Mask.mem r.Tu.data_mask w then k r.Tu.values.(w)
+
+and reload_uncovered t ~line (r : Tu.result) = function
+  | [] -> ()
+  | (w, k) :: rest ->
+    reload_uncovered t ~line r rest;
+    if not (Mask.mem r.Tu.data_mask w) then load t { Addr.line; word = w } ~k
 
 and handle_read_nacks t ~txn (m : read_miss) (r : Tu.result) =
   Chassis.trace_nack t.ch ~txn ~count:(Mask.count r.Tu.nacked);
@@ -592,44 +729,31 @@ and rmw t (addr : Addr.t) amo ~k =
 
 and external_req t (msg : Msg.t) =
   let { Msg.line; mask; _ } = msg in
-  let respond_words ~kind ~dst ~words ~values =
-    if not (Mask.is_empty words) then
-      reply t msg ~kind ~dst ~mask:words
-        ~payload:(Msg.pooled_pack ~mask:words ~full:values)
-        ()
-  in
-  (* Partition the requested words by where their truth currently lives. *)
-  let frame_line = Cache_frame.find t.frame ~line in
-  let remaining = ref mask in
-  let take p =
-    let words = Mask.fold !remaining ~init:Mask.empty ~f:(fun acc w ->
-        if p w then Mask.add acc w else acc)
-    in
-    remaining := Mask.diff !remaining words;
-    words
-  in
-  (* The write-back record is consulted first: forwards arriving while it
+  (* Partition the requested words by where their truth currently lives.
+     The write-back record is consulted first: forwards arriving while it
      is alive were serialized before the write-back at the LLC and target
-     the old ownership epoch (cf. Mesi_l1.external_req). *)
-  let in_wb = take (fun w -> find_wb_covering t ~line ~word:w <> None) in
-  let owned_here =
-    take (fun w ->
-        match frame_line with
-        | Some l -> Mask.mem l.owned w
-        | None -> false)
+     the old ownership epoch (cf. Mesi_l1.external_req).  Then the frame,
+     pending stores, RMWs mid-grant and reads mid-grant, in that order. *)
+  let l =
+    match Cache_frame.find_exn t.frame ~line with
+    | l -> l
+    | exception Not_found -> no_line
   in
-  let in_own =
-    take (fun w ->
-        find_own_covering ~include_through:false t ~line ~word:w <> None)
-  in
-  let in_rmw = take (fun w -> find_rmw_covering t ~line ~word:w <> None) in
-  let in_read = take (fun w -> read_own_pending t ~line ~word:w) in
-  let absent = !remaining in
-  let kind_needs_data = Msg.kind_needs_data msg.Msg.kind in
+  let s = scan_mshrs t ~line in
+  let in_wb = Mask.inter mask (wb_words t ~line) in
+  let rest = Mask.diff mask in_wb in
+  let owned_here = Mask.inter rest l.owned in
+  let rest = Mask.diff rest owned_here in
+  let in_own = Mask.inter rest s.s_own in
+  let rest = Mask.diff rest in_own in
+  let in_rmw = Mask.inter rest s.s_rmw in
+  let rest = Mask.diff rest in_rmw in
+  let in_read = Mask.inter rest s.s_read in
+  let absent = Mask.diff rest in_read in
   (* Words mid-RMW: data-needing requests wait for the fill; data-less
      downgrades steal immediately. *)
   if not (Mask.is_empty in_rmw) then begin
-    if kind_needs_data then begin
+    if Msg.kind_needs_data msg.Msg.kind then begin
       Stats.incr t.ch.Chassis.stats "ext_delayed";
       Mask.iter in_rmw ~f:(fun w ->
           match find_rmw_covering t ~line ~word:w with
@@ -650,75 +774,19 @@ and external_req t (msg : Msg.t) =
               ~mask:(Mask.singleton w) ()
           | None -> assert false)
   end;
-  let serve ~words ~values ~downgrade =
-    if not (Mask.is_empty words) then begin
-      match msg.Msg.kind with
-      | Msg.Req Msg.ReqV ->
-        (* No state change (Table IV: expected O, next O). *)
-        respond_words ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words ~values
-      | Msg.Req Msg.ReqO ->
-        downgrade words;
-        reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
-      | Msg.Req Msg.ReqOdata ->
-        downgrade words;
-        respond_words ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words ~values
-      | Msg.Req Msg.ReqS ->
-        (* DeNovo has no Shared state: surrender the data to both the
-           requestor and the LLC and fall to Invalid. *)
-        downgrade words;
-        respond_words ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words ~values;
-        respond_words ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
-      | Msg.Probe Msg.RvkO ->
-        downgrade words;
-        respond_words ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~words ~values
-      | _ -> assert false
-    end
-  in
   (* Owned in the frame: the normal case. *)
-  (match frame_line with
-  | Some l ->
-    serve ~words:owned_here ~values:l.data ~downgrade:(fun words ->
-        t.policy.Policy.on_downgrade ~line;
-        l.owned <- Mask.diff l.owned words)
-  | None -> assert (Mask.is_empty owned_here));
+  if not (Mask.is_empty owned_here) then begin
+    if takes_words msg then begin
+      t.policy.Policy.on_downgrade ~line;
+      l.owned <- Mask.diff l.owned owned_here
+    end;
+    serve t msg ~words:owned_here ~values:l.data
+  end;
   (* Granted-but-uncommitted stores: answer from the pending values. *)
-  Mask.iter in_own ~f:(fun w ->
-      match find_own_covering ~include_through:false t ~line ~word:w with
-      | Some o ->
-        serve ~words:(Mask.singleton w) ~values:o.o_values
-          ~downgrade:(fun words -> o.o_stolen <- Mask.union o.o_stolen words)
-      | None -> assert false);
+  if not (Mask.is_empty in_own) then serve_own t msg ~line in_own 0;
   (* Pending write-back: respond with the retained data; the LLC treats the
      in-flight ReqWB as the data carrier (§III-C case 2). *)
-  (match
-     ( Mask.is_empty in_wb,
-       Hashtbl.fold
-         (fun _ (b : wb_req) acc ->
-           if b.b_line = line && not (Mask.is_empty (Mask.inter b.b_mask in_wb))
-           then Some b
-           else acc)
-         t.wb_records None )
-   with
-  | true, _ -> ()
-  | false, Some b -> (
-    match msg.Msg.kind with
-    | Msg.Req Msg.ReqV ->
-      respond_words ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values
-    | Msg.Req Msg.ReqO ->
-      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:in_wb ()
-    | Msg.Req Msg.ReqOdata ->
-      respond_words ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values
-    | Msg.Req Msg.ReqS ->
-      respond_words ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words:in_wb
-        ~values:b.b_values;
-      (* Data already travels in the pending ReqWB (footnote 5). *)
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
-    | Msg.Probe Msg.RvkO ->
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:in_wb ()
-    | _ -> assert false)
-  | false, _ -> assert false);
+  if not (Mask.is_empty in_wb) then serve_wb t msg ~line in_wb;
   (* Words mid-grant to a converted or promoted read: the fill is in
      flight from the LLC (the response cannot be Nacked), so re-dispatch
      once it lands and the words are Owned in the frame. *)
@@ -820,6 +888,7 @@ let handle t (msg : Msg.t) =
       | Some _ ->
         free_txn t ~txn:msg.Msg.txn;
         commit_own t o;
+        Store_buffer.release t.ch.Chassis.sb o.o_entry;
         Chassis.check_release t.ch;
         drain t)
     | Rmw r -> (
@@ -901,6 +970,8 @@ let create engine net cfg =
       k_reqo_issued = Stats.key ch.Chassis.stats "reqo_issued";
       k_reqo_words = Stats.key ch.Chassis.stats "reqo_words";
       k_wb_issued = Stats.key ch.Chassis.stats "wb_issued";
+      scan =
+        { s_line = -1; s_own = Mask.empty; s_rmw = Mask.empty; s_read = Mask.empty };
       epoch = 0;
     }
   in
@@ -1031,7 +1102,7 @@ let fingerprint t fp =
         Fp.tag fp "O";
         Fp.int fp o.o_line;
         Fp.int fp (o.o_mask :> int);
-        Fp.masked_array fp ~mask:o.o_mask o.o_values;
+        Fp.masked_array fp ~mask:o.o_mask o.o_entry.Store_buffer.values;
         Fp.int fp (o.o_stolen :> int);
         Fp.bool fp o.o_through;
         fp_collector fp o.o_collector

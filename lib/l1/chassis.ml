@@ -142,29 +142,31 @@ let send t msg = Engine.send_later t.engine ~delay:t.hit_latency msg
 
 let request t ~txn ~kind ~line ~mask ?demand ?payload ?amo () =
   let msg =
-    Msg.make ~txn ~kind:(Msg.Req kind) ~line ~mask ?demand ?payload ~src:t.id
+    Msg.make ~txn ~kind:(Msg.req kind) ~line ~mask ?demand ?payload ~src:t.id
       ~dst:(t.home_id + (line mod t.home_banks)) ?amo ()
   in
   if Trace.on t.trace then
     Trace.span_begin t.trace ~time:(Engine.now t.engine) ~dev:t.id ~txn
       ~cls:(Msg.req_kind_index kind) ~line;
-  Option.iter
-    (fun r ->
-      let resend =
-        if Trace.on t.trace then (fun () ->
-            Trace.instant t.trace ~time:(Engine.now t.engine) ~dev:t.id
-              ~name:t.n_retry ~txn ~arg:(Msg.req_kind_index kind);
-            Network.send t.net msg)
-        else fun () -> Network.send t.net msg
-      in
-      Retry.arm r ~txn
-        ~describe:(Format.asprintf "%a line %d" Msg.pp_kind (Msg.Req kind) line)
-        ~resend)
-    t.retry;
+  (* A direct match, not [Option.iter]: its closure would be built on
+     every request, even in the fault-free runs that have no retry. *)
+  (match t.retry with
+  | None -> ()
+  | Some r ->
+    let resend =
+      if Trace.on t.trace then (fun () ->
+          Trace.instant t.trace ~time:(Engine.now t.engine) ~dev:t.id
+            ~name:t.n_retry ~txn ~arg:(Msg.req_kind_index kind);
+          Network.send t.net msg)
+      else fun () -> Network.send t.net msg
+    in
+    Retry.arm r ~txn
+      ~describe:(Format.asprintf "%a line %d" Msg.pp_kind (Msg.req kind) line)
+      ~resend);
   send t msg
 
 let retire t ~txn =
-  Option.iter (fun r -> Retry.complete r ~txn) t.retry;
+  (match t.retry with None -> () | Some r -> Retry.complete r ~txn);
   if Trace.on t.trace then
     Trace.span_end t.trace ~time:(Engine.now t.engine) ~dev:t.id ~txn
 
@@ -185,7 +187,7 @@ let trace_nack t ~txn ~count =
 let reply t (msg : Msg.t) ~kind ~dst ~mask ?payload () =
   if not (Mask.is_empty mask) then
     send t
-      (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp kind) ~line:msg.Msg.line ~mask
+      (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.rsp kind) ~line:msg.Msg.line ~mask
          ?payload ~src:t.id ~dst ())
 
 let reply_data t msg ~kind ~dst ~mask ~values =

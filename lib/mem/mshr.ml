@@ -42,14 +42,14 @@ let alloc t v =
     Some txn
   end
 
-let find_exn t ~txn =
-  let n = t.hi in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if t.txns.(i) = txn then t.vals.(i)
-    else go (i + 1)
-  in
-  go 0
+(* The scans are top-level recursive functions: a local [let rec] closing
+   over [t] and the key would be allocated on every call. *)
+let rec find_from t txn i =
+  if i >= t.hi then raise Not_found
+  else if t.txns.(i) = txn then t.vals.(i)
+  else find_from t txn (i + 1)
+
+let find_exn t ~txn = find_from t txn 0
 
 let find t ~txn =
   match find_exn t ~txn with v -> Some v | exception Not_found -> None
@@ -85,14 +85,18 @@ let find_first_exn t ~f =
   done;
   if !besti < 0 then raise Not_found else t.vals.(!besti)
 
-let exists t ~f =
-  let n = t.hi in
-  let rec go i =
-    i < n && ((t.txns.(i) >= 0 && f t.vals.(i)) || go (i + 1))
-  in
-  go 0
+let rec exists_from t f i =
+  i < t.hi && ((t.txns.(i) >= 0 && f t.vals.(i)) || exists_from t f (i + 1))
+
+let exists t ~f = exists_from t f 0
 
 let iter t ~f =
   for i = 0 to t.hi - 1 do
     if t.txns.(i) >= 0 then f ~txn:t.txns.(i) t.vals.(i)
   done
+
+let rec fold_from t f i acc =
+  if i >= t.hi then acc
+  else fold_from t f (i + 1) (if t.txns.(i) >= 0 then f acc t.vals.(i) else acc)
+
+let fold t ~init ~f = fold_from t f 0 init

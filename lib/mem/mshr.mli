@@ -38,3 +38,8 @@ val exists : 'a t -> f:('a -> bool) -> bool
     scan may stop at the first match in slot order, so [f] must be pure. *)
 
 val iter : 'a t -> f:(txn:int -> 'a -> unit) -> unit
+
+val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
+(** Fold over the live entries in slot order (not txn order), so [f] must
+    not depend on the order.  Allocation-free when [f] is a top-level
+    function. *)

@@ -78,7 +78,7 @@ let send t (msg : Msg.t) =
 
 let respond t (req : Msg.t) ~kind ?payload () =
   let msg =
-    Msg.make ~txn:req.Msg.txn ~kind:(Msg.Rsp kind) ~line:req.Msg.line
+    Msg.make ~txn:req.Msg.txn ~kind:(Msg.rsp kind) ~line:req.Msg.line
       ~mask:req.Msg.mask ?payload ~src:(bank_of t.cfg req.Msg.line)
       ~dst:req.Msg.requestor ()
   in
@@ -97,7 +97,7 @@ let respond_data t req meta ~kind =
 
 let forward t (req : Msg.t) ~kind ~dst =
   send t
-    (Msg.make ~txn:req.Msg.txn ~kind:(Msg.Req kind) ~line:req.Msg.line
+    (Msg.make ~txn:req.Msg.txn ~kind:(Msg.req kind) ~line:req.Msg.line
        ~mask:Addr.full_mask ~src:(bank_of t.cfg req.Msg.line) ~dst
        ~requestor:req.Msg.requestor ~fwd:true ())
 
@@ -105,7 +105,7 @@ let probe t ~kind ~dst ~line =
   send t
     (Msg.make
        ~txn:(Txn.next (bank t line).bk_txns)
-       ~kind:(Msg.Probe kind) ~line ~mask:Addr.full_mask
+       ~kind:(Msg.probe kind) ~line ~mask:Addr.full_mask
        ~src:(bank_of t.cfg line) ~dst ())
 
 let payload_values (msg : Msg.t) =

@@ -262,6 +262,32 @@ let make ~txn ~kind ~line ~mask ?demand ?(payload = No_data) ~src ~dst
       pooled = false;
     }
 
+(* [Req kind] on a variable [kind] allocates a fresh block per call; these
+   match on the kind so every arm is a constant constructor, which the
+   compiler allocates statically. *)
+let req = function
+  | ReqV -> Req ReqV
+  | ReqS -> Req ReqS
+  | ReqWT -> Req ReqWT
+  | ReqO -> Req ReqO
+  | ReqWTdata -> Req ReqWTdata
+  | ReqOdata -> Req ReqOdata
+  | ReqWB -> Req ReqWB
+
+let rsp = function
+  | RspV -> Rsp RspV
+  | RspS -> Rsp RspS
+  | RspWT -> Rsp RspWT
+  | RspO -> Rsp RspO
+  | RspWTdata -> Rsp RspWTdata
+  | RspOdata -> Rsp RspOdata
+  | RspWB -> Rsp RspWB
+  | RspRvkO -> Rsp RspRvkO
+  | Ack -> Rsp Ack
+  | Nack -> Rsp Nack
+
+let probe = function RvkO -> Probe RvkO | Inv -> Probe Inv
+
 let rsp_of_req = function
   | ReqV -> RspV
   | ReqS -> RspS

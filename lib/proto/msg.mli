@@ -145,6 +145,15 @@ val pool_stats : unit -> int * int * int
     makes served from the free-list, makes that allocated fresh while
     pooling was on, and records currently parked. *)
 
+val req : req_kind -> kind
+(** [req k] is [Req k], [rsp k] is [Rsp k] and [probe k] is [Probe k], but
+    without allocating: each returns a statically allocated constant, so
+    the same kind always yields the physically same value.  Use them
+    wherever a kind held in a variable is wrapped on a hot path. *)
+
+val rsp : rsp_kind -> kind
+val probe : probe_kind -> kind
+
 val rsp_of_req : req_kind -> rsp_kind
 (** The response kind paired with each request kind (paper: "Every Spandex
     request (Req) type has an associated response (Rsp) type"). *)

@@ -387,6 +387,71 @@ let denovo_data_request_mid_rmw_delayed () =
   let fwd = expect ~what:"served post-RMW" (peer_msgs h) (Msg.Rsp Msg.RspOdata) in
   Alcotest.(check (list int)) "post-update value" [ 8 ] (values fwd)
 
+(* Wrap the device's message handler once; the result [meter f] is the
+   minor words the handler allocates over the deliveries made while [f]
+   runs.  Messages [f] injects are built outside the handler and not
+   counted. *)
+let handler_meter h =
+  let words = ref 0.0 in
+  Network.wrap_handler h.net ~id:dev_id (fun handle m ->
+      let w0 = Gc.minor_words () in
+      handle m;
+      words := !words +. (Gc.minor_words () -. w0));
+  fun f ->
+    words := 0.0;
+    f ();
+    !words
+
+let denovo_external_reqv_allocation () =
+  (* Serving a forwarded ReqV from an owned word builds one response (a
+     13-word record, its one-word payload array and the payload and
+     option boxes) and nothing per word or per partition. *)
+  let h = harness () in
+  let l1 = mk_denovo h in
+  let port = Denovo_l1.port l1 in
+  port.Port.store (a 3 4) ~value:44 ~k:(fun () -> ());
+  port.Port.release ~k:(fun () -> ());
+  run h;
+  reply h ~to_:(expect ~what:"ReqO" (llc_msgs h) (Msg.Req Msg.ReqO))
+    ~kind:Msg.RspO ();
+  check_bool "owned" true (Denovo_l1.word_state l1 (a 3 4) = State.O);
+  let words =
+    handler_meter h (fun () ->
+        inject h ~kind:(Msg.Req Msg.ReqV) ~line:3 ~mask:(w 4) ())
+  in
+  let rsp = expect ~what:"RspV" (peer_msgs h) (Msg.Rsp Msg.RspV) in
+  Alcotest.(check (list int)) "owned value" [ 44 ] (values rsp);
+  if words > 24.0 then
+    Alcotest.failf "external ReqV on an owned word allocated %.0f words" words
+
+let denovo_read_fill_allocation () =
+  (* Completing a read miss with one full-line RspV allocates the TU's
+     line array (17 words), the completion option (2) and the new frame
+     line (21), and nothing per word or per waiter. *)
+  let h = harness () in
+  let l1 = mk_denovo h in
+  let port = Denovo_l1.port l1 in
+  let got = ref 0 in
+  let meter = handler_meter h in
+  let miss line =
+    clear h;
+    port.Port.load (a line 5) ~k:(fun v -> got := v);
+    run h;
+    let m = expect ~what:"ReqV" (llc_msgs h) (Msg.Req Msg.ReqV) in
+    meter (fun () ->
+        reply h ~to_:m ~kind:Msg.RspV
+          ~payload:(Msg.Data (Array.init 16 (fun i -> (100 * line) + i)))
+          ())
+  in
+  (* The first fill also creates the frame's slot array; measure the
+     second. *)
+  ignore (miss 1 : float);
+  let words = miss 2 in
+  check_int "value" 205 !got;
+  check_bool "line filled" true (Denovo_l1.word_state l1 (a 2 11) = State.V);
+  if words > 44.0 then
+    Alcotest.failf "read miss completion allocated %.0f words" words
+
 (* ===== MESI ================================================================== *)
 
 let mesi_read_miss_reqs () =
@@ -576,6 +641,8 @@ let tests =
     test "denovo_eviction_wb_serves_externals" denovo_eviction_wb_serves_externals;
     test "denovo_steal_mid_own_grant" denovo_steal_mid_own_grant;
     test "denovo_data_request_mid_rmw_delayed" denovo_data_request_mid_rmw_delayed;
+    test "denovo_external_reqv_allocation" denovo_external_reqv_allocation;
+    test "denovo_read_fill_allocation" denovo_read_fill_allocation;
     test "mesi_read_miss_reqs" mesi_read_miss_reqs;
     test "mesi_e_grant_and_silent_upgrade" mesi_e_grant_and_silent_upgrade;
     test "mesi_write_miss_rfo" mesi_write_miss_rfo;

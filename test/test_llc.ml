@@ -391,6 +391,71 @@ let partial_rvko_responses_accumulate () =
     (Llc.peek_word t.llc (Addr.make ~line:14 ~word:1) = Some 100
     && Llc.peek_word t.llc (Addr.make ~line:14 ~word:0) = Some 201)
 
+(* --- forward order and allocation --------------------------------------------- *)
+
+(* Devices 0 and 1 own interleaved words of [line]: 0 owns {0, 2}, 1 owns
+   {1, 3}.  The owner of the highest word (device 1) is neither the owner of
+   the lowest word nor the lowest device id. *)
+let interleave_owners t ~line =
+  ignore (req t ~from:0 ~kind:Msg.ReqO ~line ~mask:(Mask.of_list [ 0; 2 ]) ());
+  ignore (req t ~from:1 ~kind:Msg.ReqO ~line ~mask:(Mask.of_list [ 1; 3 ]) ());
+  clear_inboxes t
+
+let forwards_go_to_highest_word_owner_first () =
+  (* The LLC's per-owner forwards are sent owner of the highest word first;
+     that order fixes delivery ties downstream, so it must not drift. *)
+  let t = setup () in
+  let line = 4 in
+  interleave_owners t ~line;
+  let order = ref [] in
+  Array.iter
+    (fun (d : fake) ->
+      Network.register t.net ~id:d.id (fun (m : Msg.t) ->
+          if m.Msg.fwd then order := (d.id, m.Msg.kind) :: !order))
+    t.devices;
+  ignore (req t ~from:2 ~kind:Msg.ReqV ~line ~mask:full ~demand:full ());
+  Alcotest.(check (list int))
+    "ReqV forwards" [ 1; 0 ] (List.rev_map fst !order);
+  order := [];
+  ignore (req t ~from:2 ~kind:Msg.ReqO ~line ~mask:full ());
+  Alcotest.(check (list int))
+    "ReqO forwards" [ 1; 0 ] (List.rev_map fst !order);
+  check_bool "all forwards are ReqO" true
+    (List.for_all (fun (_, k) -> k = Msg.Req Msg.ReqO) !order)
+
+let reqo_hit_allocation_bounded () =
+  (* A ReqO hit on an unshared line with two remote owners sends three
+     messages (two forwards, one grant).  The handler may allocate those
+     messages and one (owner, words) group per remote owner, and nothing
+     per word: no assoc-list rebuild, no closures. *)
+  let t = setup () in
+  let words = ref 0.0 in
+  let calls = ref 0 in
+  Network.wrap_handler t.net ~id:llc_id (fun h m ->
+      let w0 = Gc.minor_words () in
+      h m;
+      words := !words +. (Gc.minor_words () -. w0);
+      incr calls);
+  (* Warm up on one line so the bank's counters exist, then measure the
+     same transaction on another. *)
+  List.iter
+    (fun line ->
+      interleave_owners t ~line;
+      words := 0.0;
+      calls := 0;
+      ignore (req t ~from:2 ~kind:Msg.ReqO ~line ~mask:full ()))
+    [ 20; 36 ];
+  check_int "one LLC arrival" 1 !calls;
+  check_int "forwards" 1 (List.length (inbox t 0));
+  check_int "forwards" 1 (List.length (inbox t 1));
+  check_int "grant" 1 (List.length (inbox t 2));
+  (* A message record is 13 words and a forward boxes its optional
+     [requestor] (2 words); a group is a pair and a list cell (6 words). *)
+  let bound = (3 * 13) + (2 * 2) + (2 * 6) in
+  if !words > float_of_int bound then
+    Alcotest.failf "LLC ReqO hit allocated %.0f minor words (bound %d)" !words
+      bound
+
 let tests =
   [
     test "reqv_fills_from_memory" reqv_fills_from_memory;
@@ -418,4 +483,7 @@ let tests =
     test "blocked_requests_replay_in_order" blocked_requests_replay_in_order;
     test "crossing_wb_satisfies_revocation" crossing_wb_satisfies_revocation;
     test "partial_rvko_responses_accumulate" partial_rvko_responses_accumulate;
+    test "forwards_go_to_highest_word_owner_first"
+      forwards_go_to_highest_word_owner_first;
+    test "reqo_hit_allocation_bounded" reqo_hit_allocation_bounded;
   ]

@@ -277,6 +277,43 @@ let pool_never_reuses_kept_payloads () =
     (a1.(1) = full.(1));
   Msg.recycle m2
 
+let kind_wrappers_static () =
+  (* [Msg.req]/[rsp]/[probe] stand in for [Req k] etc. on a kind held in a
+     variable, which would allocate a block per call. *)
+  let reqs = Array.of_list Msg.all_req_kinds in
+  let rsps =
+    [| Msg.RspV; Msg.RspS; Msg.RspWT; Msg.RspO; Msg.RspWTdata; Msg.RspOdata;
+       Msg.RspWB; Msg.RspRvkO; Msg.Ack; Msg.Nack |]
+  in
+  let probes = [| Msg.RvkO; Msg.Inv |] in
+  Array.iter
+    (fun k ->
+      check_bool "req equals Req" true (Msg.req k = Msg.Req k);
+      check_bool "req is shared" true (Msg.req k == Msg.req k))
+    reqs;
+  Array.iter
+    (fun k ->
+      check_bool "rsp equals Rsp" true (Msg.rsp k = Msg.Rsp k);
+      check_bool "rsp is shared" true (Msg.rsp k == Msg.rsp k))
+    rsps;
+  Array.iter
+    (fun k ->
+      check_bool "probe equals Probe" true (Msg.probe k = Msg.Probe k);
+      check_bool "probe is shared" true (Msg.probe k == Msg.probe k))
+    probes;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (Msg.req reqs.(i mod Array.length reqs)));
+    ignore (Sys.opaque_identity (Msg.rsp rsps.(i mod Array.length rsps)));
+    ignore
+      (Sys.opaque_identity (Msg.probe probes.(i mod Array.length probes)))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 0.0 then
+    Alcotest.failf "%d rounds of req/rsp/probe allocated %.0f minor words" n
+      words
+
 let tests =
   [
     test "addr_geometry" addr_geometry;
@@ -287,6 +324,7 @@ let tests =
     test "msg_validation" msg_validation;
     test "msg_defaults" msg_defaults;
     test "rsp_pairing" rsp_pairing;
+    test "kind_wrappers_static" kind_wrappers_static;
     test "linedata_pack_unpack" linedata_pack_unpack;
     test "linedata_extract" linedata_extract;
     test "linedata_init_deterministic" linedata_init_deterministic;

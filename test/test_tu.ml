@@ -76,6 +76,35 @@ let mixed_sources () =
     check_int "c" 3 r.Tu.values.(15)
   | None -> Alcotest.fail "expected completion"
 
+let data_less_acks_leave_values_empty () =
+  (* Data-less grants (ReqO, ReqWT) never write the line array, so the
+     collector does not allocate it. *)
+  let t = Tu.create ~demand:(Mask.of_list [ 0; 1 ]) in
+  check_bool "pending" true
+    (Tu.absorb t (rsp ~kind:Msg.RspO ~mask:(Mask.singleton 0) ()) = None);
+  check_int "no line array yet" 0 (Array.length (Tu.peek t).Tu.values);
+  match Tu.absorb t (rsp ~kind:Msg.RspWT ~mask:(Mask.singleton 1) ()) with
+  | Some r ->
+    check_int "no line array" 0 (Array.length r.Tu.values);
+    check_bool "no data" true (Mask.is_empty r.Tu.data_mask)
+  | None -> Alcotest.fail "expected completion"
+
+let first_data_fills_exactly_data_mask () =
+  let t = Tu.create ~demand:(Mask.of_list [ 0; 5; 9 ]) in
+  check_bool "ack first" true
+    (Tu.absorb t (rsp ~kind:Msg.RspO ~mask:(Mask.singleton 0) ()) = None);
+  check_int "no line array after the ack" 0 (Array.length (Tu.peek t).Tu.values);
+  match Tu.absorb t (data_rsp ~mask:(Mask.of_list [ 5; 9 ]) [| 55; 99 |]) with
+  | Some r ->
+    check_bool "data mask" true
+      (Mask.equal r.Tu.data_mask (Mask.of_list [ 5; 9 ]));
+    check_int "full line" Addr.words_per_line (Array.length r.Tu.values);
+    for i = 0 to Addr.words_per_line - 1 do
+      let expected = if i = 5 then 55 else if i = 9 then 99 else 0 in
+      check_int (Printf.sprintf "word %d" i) expected r.Tu.values.(i)
+    done
+  | None -> Alcotest.fail "expected completion"
+
 let completion_prop =
   QCheck2.Test.make ~name:"tu_completes_iff_demand_covered"
     QCheck2.Gen.(pair (int_bound 0xFFFF) (list_size (int_bound 8) (int_bound 0xFFFF)))
@@ -104,5 +133,7 @@ let tests =
     test "acks_count_toward_completion" acks_count_toward_completion;
     test "nacks_reported" nacks_reported;
     test "mixed_sources" mixed_sources;
+    test "data_less_acks_leave_values_empty" data_less_acks_leave_values_empty;
+    test "first_data_fills_exactly_data_mask" first_data_fills_exactly_data_mask;
   ]
   @ [ QCheck_alcotest.to_alcotest ~long:false completion_prop ]
