@@ -68,6 +68,10 @@ type own_req = {
   o_through : bool;
       (* issued as a write-through (adaptive policy): completion leaves the
          words Valid, not Owned, and externals are never forwarded here. *)
+  mutable o_txn : int;
+      (* the request's transaction id, set once allocated: commit order is
+         not issue order, and a commit must not be overwritten by an older
+         pending store to the same words. *)
 }
 
 (* A pending ReqO+data for a local RMW: externals that need the word's data
@@ -93,13 +97,23 @@ type outstanding =
   | Rmw of rmw_req
   | Atomic of atomic_req
 
-(* Scratch for [external_req]'s single pass over the MSHR file: the line
-   being classified, and the words of it pending per transaction kind. *)
+(* Lookup key and results for the MSHR and write-back scans.  The
+   predicates that read it are built once in [create], so a lookup writes
+   its key here instead of allocating a closure over it.  [external_req]'s
+   single pass collects the words of [s_line] pending per transaction
+   kind; the write-back visitor records the last overlapping record in
+   [s_wb] ([no_wb] when none) and the union of their masks in
+   [s_wb_words]. *)
 type scan = {
   mutable s_line : int;
+  mutable s_word : int;
+  mutable s_epoch : int;
+  mutable s_mask : Mask.t;
   mutable s_own : Mask.t;
   mutable s_rmw : Mask.t;
   mutable s_read : Mask.t;
+  mutable s_wb : wb_req;
+  mutable s_wb_words : Mask.t;
 }
 
 type t = {
@@ -110,6 +124,9 @@ type t = {
      because the record must exist from the instant the words leave the
      frame (cf. Mesi_l1.wb_records). *)
   wb_records : (int, wb_req) Hashtbl.t;
+  wb_lines : int array;
+      (* write-backs in flight per [line land wb_hash_mask]: lookups skip
+         the (allocating) [Hashtbl.iter] when no record can hold the line. *)
   (* Per-request classification (the Spandex flexibility knob): static for
      classic DeNovo, reuse-predicted for the adaptive configurations. *)
   policy : Policy.t;
@@ -119,6 +136,13 @@ type t = {
   k_reqo_words : Stats.key;
   k_wb_issued : Stats.key;
   scan : scan;
+  (* Prebuilt lookup predicates over [scan]'s key (see [create]). *)
+  own_covers : outstanding -> bool;
+  fwd_own_covers : outstanding -> bool;
+  rmw_covers : outstanding -> bool;
+  read_coalesces : outstanding -> bool;
+  line_writes : outstanding -> bool;
+  wb_visit : int -> wb_req -> unit;
   mutable epoch : int;
 }
 
@@ -142,9 +166,13 @@ let rec copy_words ~mask ~src ~dst w =
 
 (* ----- frame management ----------------------------------------------------- *)
 
+let wb_hash_mask = 63
+
 let send_wb t ~line ~mask ~values =
   let txn = Chassis.fresh_txn t.ch in
   Hashtbl.replace t.wb_records txn { b_line = line; b_mask = mask; b_values = values };
+  let h = line land wb_hash_mask in
+  t.wb_lines.(h) <- t.wb_lines.(h) + 1;
   Stats.bump t.ch.Chassis.stats t.k_wb_issued;
   request t ~txn ~kind:Msg.ReqWB ~line ~mask
     ~payload:(Msg.pooled_pack ~mask ~full:values)
@@ -176,12 +204,12 @@ let get_or_alloc t line_id =
 
 (* ----- write-through of the store buffer as ownership requests -------------- *)
 
+let count_write n = function
+  | Own _ | Atomic _ -> n + 1
+  | Read _ | Rmw _ -> n
+
 let writes_pending t =
-  let n = ref 0 in
-  Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
-    | Own _ | Atomic _ -> incr n
-    | Read _ | Rmw _ -> ());
-  !n
+  Mshr.fold t.ch.Chassis.outstanding ~init:0 ~f:count_write
 
 let rec drain t =
   match Store_buffer.peek_oldest_exn t.ch.Chassis.sb with
@@ -204,36 +232,47 @@ let rec drain t =
           o_collector = Tu.create ~demand:e.Store_buffer.mask;
           o_stolen = Mask.empty;
           o_through = through;
+          o_txn = -1;
         }
       in
-      (match Mshr.alloc t.ch.Chassis.outstanding (Own record) with
-      | Some txn ->
-        if through then begin
-          Stats.bump t.ch.Chassis.stats t.k_wt_chosen;
-          t.policy.Policy.on_write_through ~line:e.Store_buffer.line;
-          request t ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
-            ~mask:e.Store_buffer.mask
-            ~payload:
-              (Msg.pooled_pack ~mask:e.Store_buffer.mask
-                 ~full:e.Store_buffer.values)
-            ()
-        end
-        else begin
-          Stats.bump t.ch.Chassis.stats t.k_reqo_issued;
-          Stats.bump_by t.ch.Chassis.stats t.k_reqo_words
-            (Mask.count e.Store_buffer.mask);
-          (* Ownership without data: every requested word is overwritten. *)
-          request t ~txn ~kind:Msg.ReqO ~line:e.Store_buffer.line
-            ~mask:e.Store_buffer.mask ()
-        end
-      | None -> assert false);
+      let txn = Mshr.alloc t.ch.Chassis.outstanding (Own record) in
+      assert (txn >= 0);
+      record.o_txn <- txn;
+      if through then begin
+        Stats.bump t.ch.Chassis.stats t.k_wt_chosen;
+        t.policy.Policy.on_write_through ~line:e.Store_buffer.line;
+        request t ~txn ~kind:Msg.ReqWT ~line:e.Store_buffer.line
+          ~mask:e.Store_buffer.mask
+          ~payload:
+            (Msg.pooled_pack ~mask:e.Store_buffer.mask
+               ~full:e.Store_buffer.values)
+          ()
+      end
+      else begin
+        Stats.bump t.ch.Chassis.stats t.k_reqo_issued;
+        Stats.bump_by t.ch.Chassis.stats t.k_reqo_words
+          (Mask.count e.Store_buffer.mask);
+        (* Ownership without data: every requested word is overwritten. *)
+        request t ~txn ~kind:Msg.ReqO ~line:e.Store_buffer.line
+          ~mask:e.Store_buffer.mask ()
+      end;
       Chassis.wake_stalled t.ch;
       drain t
     end
 
+(* An older pending store to the line must not overwrite the words [o]
+   commits: the drain issues same-line ReqOs back to back, and their grants
+   may return out of order. *)
+let supersede (o : own_req) = function
+  | Own p when p.o_line = o.o_line && p.o_txn < o.o_txn ->
+    p.o_stolen <- Mask.union p.o_stolen (Mask.diff o.o_mask o.o_stolen);
+    o
+  | Own _ | Read _ | Rmw _ | Atomic _ -> o
+
 let commit_own t (o : own_req) =
   let commit = Mask.diff o.o_mask o.o_stolen in
   if not (Mask.is_empty commit) then begin
+    ignore (Mshr.fold t.ch.Chassis.outstanding ~init:o ~f:supersede);
     let l = get_or_alloc t o.o_line in
     copy_words ~mask:commit ~src:o.o_entry.Store_buffer.values ~dst:l.data 0;
     if o.o_through then
@@ -248,53 +287,117 @@ let commit_own t (o : own_req) =
 
 (* ----- pending-write lookup (for local loads and external requests) --------- *)
 
-let find_own_covering ?(include_through = true) t ~line ~word =
-  if Mshr.count t.ch.Chassis.outstanding = 0 then None
-  else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Own o ->
-        o.o_line = line
-        && (include_through || not o.o_through)
-        && Mask.mem (Mask.diff o.o_mask o.o_stolen) word
-      | _ -> false)
-  with
-  | Own o -> Some o
-  | _ -> None
-  | exception Not_found -> None
+(* The predicates and the write-back visitor [create] builds over the
+   scan record.  Each lookup below sets the key, then scans. *)
+let own_record_covers s o =
+  o.o_line = s.s_line && Mask.mem (Mask.diff o.o_mask o.o_stolen) s.s_word
 
-let find_rmw_covering t ~line ~word =
-  if Mshr.count t.ch.Chassis.outstanding = 0 then None
-  else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Rmw r -> r.w_line = line && r.w_word = word && not r.w_stolen
-      | _ -> false)
-  with
-  | Rmw r -> Some r
-  | _ -> None
-  | exception Not_found -> None
+let own_covers s = function
+  | Own o -> own_record_covers s o
+  | Read _ | Rmw _ | Atomic _ -> false
 
-let find_wb_covering t ~line ~word =
-  if Hashtbl.length t.wb_records = 0 then None
-  else
-  Hashtbl.fold
-    (fun _ (b : wb_req) acc ->
-      if b.b_line = line && Mask.mem b.b_mask word then Some b else acc)
-    t.wb_records None
+(* [own_covers] without write-throughs: externals are never served from a
+   ReqWT (the LLC already holds its data). *)
+let fwd_own_covers s = function
+  | Own o -> (not o.o_through) && own_record_covers s o
+  | Read _ | Rmw _ | Atomic _ -> false
+
+let rmw_covers s = function
+  | Rmw r -> r.w_line = s.s_line && r.w_word = s.s_word && not r.w_stolen
+  | Read _ | Own _ | Atomic _ -> false
+
+let read_coalesces s = function
+  | Read m -> m.r_line = s.s_line && m.r_epoch = s.s_epoch
+  | Own _ | Rmw _ | Atomic _ -> false
+
+let line_writes s = function
+  | Own o -> o.o_line = s.s_line
+  | Rmw r -> r.w_line = s.s_line
+  | Read _ | Atomic _ -> false
+
+(* [Hashtbl.iter] order, so the last overlapping record wins. *)
+let wb_visit s _txn (b : wb_req) =
+  if b.b_line = s.s_line && not (Mask.is_empty (Mask.inter b.b_mask s.s_mask))
+  then begin
+    s.s_wb <- b;
+    s.s_wb_words <- Mask.union s.s_wb_words b.b_mask
+  end
+
+let set_key t ~line ~word =
+  t.scan.s_line <- line;
+  t.scan.s_word <- word
+
+(* The newest pending store covering the word: a local load must see the
+   program-order-last value, and the drain may have issued several stores
+   to one word before any is granted. *)
+let newest_own_exn t ~line ~word =
+  if Mshr.count t.ch.Chassis.outstanding = 0 then raise Not_found;
+  set_key t ~line ~word;
+  match Mshr.find_last_exn t.ch.Chassis.outstanding ~f:t.own_covers with
+  | Own o -> o
+  | Read _ | Rmw _ | Atomic _ -> assert false
+
+(* The oldest pending (non-write-through) store covering the word: the LLC
+   serialized forwarded requests after its grant and before any later one's. *)
+let oldest_fwd_own_exn t ~line ~word =
+  set_key t ~line ~word;
+  match Mshr.find_first_exn t.ch.Chassis.outstanding ~f:t.fwd_own_covers with
+  | Own o -> o
+  | Read _ | Rmw _ | Atomic _ -> assert false
+
+let own_pending t ~line ~word =
+  Mshr.count t.ch.Chassis.outstanding > 0
+  && begin
+    set_key t ~line ~word;
+    Mshr.exists t.ch.Chassis.outstanding ~f:t.own_covers
+  end
+
+let rmw_pending t ~line ~word =
+  Mshr.count t.ch.Chassis.outstanding > 0
+  && begin
+    set_key t ~line ~word;
+    Mshr.exists t.ch.Chassis.outstanding ~f:t.rmw_covers
+  end
+
+let rmw_exn t ~line ~word =
+  set_key t ~line ~word;
+  match Mshr.find_first_exn t.ch.Chassis.outstanding ~f:t.rmw_covers with
+  | Rmw r -> r
+  | Read _ | Own _ | Atomic _ -> assert false
+
+(* A record no write-back lookup returns: "none in flight". *)
+let no_wb = { b_line = -1; b_mask = Mask.empty; b_values = [||] }
+
+(* Visit the write-backs of [line] overlapping [mask]; the results land in
+   [t.scan.s_wb] and [t.scan.s_wb_words]. *)
+let scan_wbs t ~line ~mask =
+  let s = t.scan in
+  s.s_wb <- no_wb;
+  s.s_wb_words <- Mask.empty;
+  if Hashtbl.length t.wb_records > 0 && t.wb_lines.(line land wb_hash_mask) > 0
+  then begin
+    s.s_line <- line;
+    s.s_mask <- mask;
+    Hashtbl.iter t.wb_visit t.wb_records
+  end
+
+(* The write-back holding the word, or [no_wb]. *)
+let wb_covering t ~line ~word =
+  scan_wbs t ~line ~mask:(Mask.singleton word);
+  t.scan.s_wb
 
 (* Any write-side transaction alive for [line]: a promoted (ReqO+data) read
    issued beside one could be answered with a data-less self-grant. *)
 let line_write_pending t ~line =
   (Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Own o -> o.o_line = line
-       | Rmw r -> r.w_line = line
-       | Read _ | Atomic _ -> false))
-  || Hashtbl.length t.wb_records > 0
-     && Hashtbl.fold
-          (fun _ (b : wb_req) acc -> acc || b.b_line = line)
-          t.wb_records false
+  && begin
+    t.scan.s_line <- line;
+    Mshr.exists t.ch.Chassis.outstanding ~f:t.line_writes
+  end)
+  || begin
+    scan_wbs t ~line ~mask:Addr.full_mask;
+    t.scan.s_wb != no_wb
+  end
 
 (* ----- serving external requests -------------------------------------------- *)
 
@@ -318,9 +421,8 @@ let scan_entry s = function
   | Own _ | Rmw _ | Read _ | Atomic _ -> s
 
 (* Words of [line] covered by pending ownership stores (as
-   [find_own_covering ~include_through:false] sees them), by RMWs mid-grant
-   (as [find_rmw_covering]) and by reads mid-grant, in one pass over the
-   MSHR file. *)
+   [oldest_fwd_own_exn] sees them), by RMWs mid-grant (as [rmw_exn]) and by
+   reads mid-grant, in one pass over the MSHR file. *)
 let scan_mshrs t ~line =
   let s = t.scan in
   s.s_line <- line;
@@ -331,12 +433,8 @@ let scan_mshrs t ~line =
 
 (* Words of [line] held by write-backs in flight. *)
 let wb_words t ~line =
-  if Hashtbl.length t.wb_records = 0 then Mask.empty
-  else
-    Hashtbl.fold
-      (fun _ (b : wb_req) acc ->
-        if b.b_line = line then Mask.union acc b.b_mask else acc)
-      t.wb_records Mask.empty
+  scan_wbs t ~line ~mask:Addr.full_mask;
+  t.scan.s_wb_words
 
 (* Every external but a forwarded ReqV takes the words it is served. *)
 let takes_words (msg : Msg.t) =
@@ -374,44 +472,35 @@ let serve t (msg : Msg.t) ~words ~values =
 let rec serve_own t msg ~line words w =
   if w < Addr.words_per_line then begin
     if Mask.mem words w then begin
-      match find_own_covering ~include_through:false t ~line ~word:w with
-      | Some o ->
-        let one = Mask.singleton w in
-        if takes_words msg then o.o_stolen <- Mask.union o.o_stolen one;
-        serve t msg ~words:one ~values:o.o_entry.Store_buffer.values
-      | None -> assert false
+      let o = oldest_fwd_own_exn t ~line ~word:w in
+      let one = Mask.singleton w in
+      if takes_words msg then o.o_stolen <- Mask.union o.o_stolen one;
+      serve t msg ~words:one ~values:o.o_entry.Store_buffer.values
     end;
     serve_own t msg ~line words (w + 1)
   end
 
 let serve_wb t (msg : Msg.t) ~line words =
-  match
-    Hashtbl.fold
-      (fun _ (b : wb_req) acc ->
-        if b.b_line = line && not (Mask.is_empty (Mask.inter b.b_mask words))
-        then Some b
-        else acc)
-      t.wb_records None
-  with
-  | None -> assert false
-  | Some b -> (
-    match msg.Msg.kind with
-    | Msg.Req Msg.ReqV ->
-      respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words
-        ~values:b.b_values
-    | Msg.Req Msg.ReqO ->
-      reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
-    | Msg.Req Msg.ReqOdata ->
-      respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
-        ~values:b.b_values
-    | Msg.Req Msg.ReqS ->
-      respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words
-        ~values:b.b_values;
-      (* Data already travels in the pending ReqWB (footnote 5). *)
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
-    | Msg.Probe Msg.RvkO ->
-      reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
-    | _ -> assert false)
+  scan_wbs t ~line ~mask:words;
+  let b = t.scan.s_wb in
+  assert (b != no_wb);
+  match msg.Msg.kind with
+  | Msg.Req Msg.ReqV ->
+    respond_words t msg ~kind:Msg.RspV ~dst:msg.Msg.requestor ~words
+      ~values:b.b_values
+  | Msg.Req Msg.ReqO ->
+    reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor ~mask:words ()
+  | Msg.Req Msg.ReqOdata ->
+    respond_words t msg ~kind:Msg.RspOdata ~dst:msg.Msg.requestor ~words
+      ~values:b.b_values
+  | Msg.Req Msg.ReqS ->
+    respond_words t msg ~kind:Msg.RspS ~dst:msg.Msg.requestor ~words
+      ~values:b.b_values;
+    (* Data already travels in the pending ReqWB (footnote 5). *)
+    reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
+  | Msg.Probe Msg.RvkO ->
+    reply t msg ~kind:Msg.RspRvkO ~dst:msg.Msg.src ~mask:words ()
+  | _ -> assert false
 
 (* ----- loads ---------------------------------------------------------------- *)
 
@@ -448,99 +537,84 @@ let rec load t (addr : Addr.t) ~k =
     Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_sb_fwd;
     Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k v
   | None -> (
-    match find_own_covering t ~line ~word with
-    | Some o ->
+    match newest_own_exn t ~line ~word with
+    | o ->
       Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_sb_fwd;
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
         o.o_entry.Store_buffer.values.(word)
-    | None -> (
-    match find_wb_covering t ~line ~word with
-    | Some b ->
-      (* The word is mid-write-back: the LLC still lists us as owner, so a
-         ReqV would be forwarded right back; serve the retained data. *)
-      Stats.incr t.ch.Chassis.stats "load_wb_fwd";
-      Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
-        b.b_values.(word)
-    | None when find_rmw_covering t ~line ~word <> None ->
-      (* Another context's RMW to this word is mid-grant; once it commits
-         the load hits the owned word locally. *)
-      Stats.incr t.ch.Chassis.stats "load_rmw_defer";
-      Engine.schedule t.ch.Chassis.engine ~delay:3 (fun () -> load t addr ~k)
-    | None -> (
-      match Cache_frame.find_exn t.frame ~line with
-      | l when Mask.mem (Mask.union l.valid l.owned) word ->
-        Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_hit;
-        Cache_frame.touch t.frame ~line;
+    | exception Not_found ->
+      let b = wb_covering t ~line ~word in
+      if b != no_wb then begin
+        (* The word is mid-write-back: the LLC still lists us as owner, so a
+           ReqV would be forwarded right back; serve the retained data. *)
+        Stats.incr t.ch.Chassis.stats "load_wb_fwd";
         Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
-          l.data.(word)
-      | _ | (exception Not_found) -> (
-        Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
-        match
-          Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-            | Read m -> m.r_line = line && m.r_epoch = t.epoch
-            | _ -> false)
-        with
-        | Read m ->
-          Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
-          m.r_waiters <- (word, k) :: m.r_waiters
-        | _ -> assert false
-        | exception Not_found -> (
-          let have =
-            match Cache_frame.find_exn t.frame ~line with
-            | l -> Mask.union l.valid l.owned
-            | exception Not_found -> Mask.empty
-          in
-          let mask = Mask.diff Addr.full_mask have in
-          (* Per-request read classification: repeated misses to a line may
-             promote the ReqV to a ReqO+data whose fill installs as Owned
-             and survives later acquires.  Promotion is suppressed while
-             any write-side transaction is alive for the line — the LLC
-             could answer with a data-less self-grant. *)
-          let promote =
-            match t.policy.Policy.classify_read ~line Policy.absent with
-            | Policy.Read_own -> not (line_write_pending t ~line)
-            | Policy.Read_valid | Policy.Read_shared -> false
-          in
-          if promote then begin
-            Stats.incr t.ch.Chassis.stats "load_promoted_own";
-            let m =
-              {
-                r_line = line;
-                r_collector = Tu.create ~demand:mask;
-                r_waiters = [ (word, k) ];
-                r_epoch = t.epoch;
-                r_retries = 0;
-                r_own_mask = mask;
-              }
-            in
-            match Mshr.alloc t.ch.Chassis.outstanding (Read m) with
-            | Some txn -> request t ~txn ~kind:Msg.ReqOdata ~line ~mask ()
-            | None ->
-              Stats.incr t.ch.Chassis.stats "mshr_stall";
-              Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
-                  load t addr ~k)
-          end
-          else
-            let demand = Mask.singleton word in
-            let m =
-              {
-                r_line = line;
-                r_collector = Tu.create ~demand;
-                r_waiters = [ (word, k) ];
-                r_epoch = t.epoch;
-                r_retries = 0;
-                r_own_mask = Mask.empty;
-              }
-            in
-            match Mshr.alloc t.ch.Chassis.outstanding (Read m) with
-            | Some txn ->
-              (* Word-granularity demand, opportunistic line fill
-                 (Table II: ReqV "flexible"). *)
-              request t ~txn ~kind:Msg.ReqV ~line ~mask ~demand ()
-            | None ->
-              Stats.incr t.ch.Chassis.stats "mshr_stall";
-              Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
-                  load t addr ~k))))))
+          b.b_values.(word)
+      end
+      else if rmw_pending t ~line ~word then begin
+        (* Another context's RMW to this word is mid-grant; once it commits
+           the load hits the owned word locally. *)
+        Stats.incr t.ch.Chassis.stats "load_rmw_defer";
+        Engine.schedule t.ch.Chassis.engine ~delay:3 (fun () -> load t addr ~k)
+      end
+      else load_frame t addr ~k)
+
+and load_frame t (addr : Addr.t) ~k =
+  let { Addr.line; word } = addr in
+  match Cache_frame.find_exn t.frame ~line with
+  | l when Mask.mem (Mask.union l.valid l.owned) word ->
+    Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_hit;
+    Cache_frame.touch t.frame ~line;
+    Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
+      l.data.(word)
+  | _ | (exception Not_found) -> (
+    Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
+    t.scan.s_line <- line;
+    t.scan.s_epoch <- t.epoch;
+    match Mshr.find_first_exn t.ch.Chassis.outstanding ~f:t.read_coalesces with
+    | Read m ->
+      Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
+      m.r_waiters <- (word, k) :: m.r_waiters
+    | Own _ | Rmw _ | Atomic _ -> assert false
+    | exception Not_found -> (
+      let have =
+        match Cache_frame.find_exn t.frame ~line with
+        | l -> Mask.union l.valid l.owned
+        | exception Not_found -> Mask.empty
+      in
+      let mask = Mask.diff Addr.full_mask have in
+      (* Per-request read classification: repeated misses to a line may
+         promote the ReqV to a ReqO+data whose fill installs as Owned and
+         survives later acquires.  Promotion is suppressed while any
+         write-side transaction is alive for the line — the LLC could answer
+         with a data-less self-grant. *)
+      let promote =
+        match t.policy.Policy.classify_read ~line Policy.absent with
+        | Policy.Read_own -> not (line_write_pending t ~line)
+        | Policy.Read_valid | Policy.Read_shared -> false
+      in
+      let demand = if promote then mask else Mask.singleton word in
+      let m =
+        {
+          r_line = line;
+          r_collector = Tu.create ~demand;
+          r_waiters = [ (word, k) ];
+          r_epoch = t.epoch;
+          r_retries = 0;
+          r_own_mask = (if promote then mask else Mask.empty);
+        }
+      in
+      if promote then Stats.incr t.ch.Chassis.stats "load_promoted_own";
+      let txn = Mshr.alloc t.ch.Chassis.outstanding (Read m) in
+      if txn < 0 then begin
+        Stats.incr t.ch.Chassis.stats "mshr_stall";
+        Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> load t addr ~k)
+      end
+      else if promote then request t ~txn ~kind:Msg.ReqOdata ~line ~mask ()
+      else
+        (* Word-granularity demand, opportunistic line fill (Table II: ReqV
+           "flexible"). *)
+        request t ~txn ~kind:Msg.ReqV ~line ~mask ~demand ()))
 
 and complete_read t ~txn (m : read_miss) (r : Tu.result) =
   free_txn t ~txn;
@@ -582,12 +656,11 @@ and handle_read_nacks t ~txn (m : read_miss) (r : Tu.result) =
     | None -> (
       Stats.incr t.ch.Chassis.stats "reqv_retry";
       free_txn t ~txn;
-      match Mshr.alloc t.ch.Chassis.outstanding (Read m') with
-      | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqV ~line:m.r_line ~mask:r.Tu.nacked
-          ~demand:r.Tu.nacked ();
-        Chassis.trace_chain t.ch ~txn ~txn'
-      | None -> assert false)
+      let txn' = Mshr.alloc t.ch.Chassis.outstanding (Read m') in
+      assert (txn' >= 0);
+      request t ~txn:txn' ~kind:Msg.ReqV ~line:m.r_line ~mask:r.Tu.nacked
+        ~demand:r.Tu.nacked ();
+      Chassis.trace_chain t.ch ~txn ~txn')
   end
   else begin
     (* Convert to ReqO+data to enforce ordering (§III-C case 3). *)
@@ -603,12 +676,11 @@ and handle_read_nacks t ~txn (m : read_miss) (r : Tu.result) =
     | None -> (
       Stats.incr t.ch.Chassis.stats "reqv_converted";
       free_txn t ~txn;
-      match Mshr.alloc t.ch.Chassis.outstanding (Read m') with
-      | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqOdata ~line:m.r_line ~mask:r.Tu.nacked
-          ();
-        Chassis.trace_chain t.ch ~txn ~txn'
-      | None -> assert false)
+      let txn' = Mshr.alloc t.ch.Chassis.outstanding (Read m') in
+      assert (txn' >= 0);
+      request t ~txn:txn' ~kind:Msg.ReqOdata ~line:m.r_line ~mask:r.Tu.nacked
+        ();
+      Chassis.trace_chain t.ch ~txn ~txn')
   end
 
 and seed_collector (m : read_miss) (r : Tu.result) =
@@ -674,13 +746,14 @@ and rmw t (addr : Addr.t) amo ~k =
     (match Cache_frame.find_exn t.frame ~line with
     | l -> l.valid <- Mask.remove l.valid word
     | exception Not_found -> ());
-    match Mshr.alloc t.ch.Chassis.outstanding (Atomic { at_k = k }) with
-    | Some txn ->
+    let txn = Mshr.alloc t.ch.Chassis.outstanding (Atomic { at_k = k }) in
+    if txn >= 0 then
       request t ~txn ~kind:Msg.ReqWTdata ~line ~mask:(Mask.singleton word)
         ~amo ()
-    | None ->
+    else begin
       Stats.incr t.ch.Chassis.stats "mshr_stall";
       Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> rmw t addr amo ~k)
+    end
   end
   else
     match Cache_frame.find_exn t.frame ~line with
@@ -691,9 +764,9 @@ and rmw t (addr : Addr.t) amo ~k =
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k old
     | _ | (exception Not_found) ->
       if
-        find_rmw_covering t ~line ~word <> None
-        || find_own_covering t ~line ~word <> None
-        || find_wb_covering t ~line ~word <> None
+        rmw_pending t ~line ~word
+        || own_pending t ~line ~word
+        || wb_covering t ~line ~word != no_wb
       then begin
         (* Another context's write to this word is mid-grant, or the word is
            mid-write-back (the LLC would answer a ReqO+data with a data-less
@@ -715,14 +788,15 @@ and rmw t (addr : Addr.t) amo ~k =
             w_k = k;
           }
         in
-        match Mshr.alloc t.ch.Chassis.outstanding (Rmw r) with
-        | Some txn ->
+        let txn = Mshr.alloc t.ch.Chassis.outstanding (Rmw r) in
+        if txn >= 0 then
           request t ~txn ~kind:Msg.ReqOdata ~line ~mask:(Mask.singleton word)
             ()
-        | None ->
+        else begin
           Stats.incr t.ch.Chassis.stats "mshr_stall";
           Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
               rmw t addr amo ~k)
+        end
       end
 
 (* ----- external requests (the device-side of Table IV) ---------------------- *)
@@ -756,23 +830,18 @@ and external_req t (msg : Msg.t) =
     if Msg.kind_needs_data msg.Msg.kind then begin
       Stats.incr t.ch.Chassis.stats "ext_delayed";
       Mask.iter in_rmw ~f:(fun w ->
-          match find_rmw_covering t ~line ~word:w with
-          | Some r ->
-            (* The narrowed copy aliases [msg]'s payload; pin the original
-               so recycling cannot hand its array to another message. *)
-            Msg.keep msg;
-            r.w_queued <-
-              r.w_queued @ [ { msg with Msg.mask = Mask.singleton w } ]
-          | None -> assert false)
+          let r = rmw_exn t ~line ~word:w in
+          (* The narrowed copy aliases [msg]'s payload; pin the original so
+             recycling cannot hand its array to another message. *)
+          Msg.keep msg;
+          r.w_queued <- r.w_queued @ [ { msg with Msg.mask = Mask.singleton w } ])
     end
     else
       Mask.iter in_rmw ~f:(fun w ->
-          match find_rmw_covering t ~line ~word:w with
-          | Some r ->
-            r.w_stolen <- true;
-            reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
-              ~mask:(Mask.singleton w) ()
-          | None -> assert false)
+          let r = rmw_exn t ~line ~word:w in
+          r.w_stolen <- true;
+          reply t msg ~kind:Msg.RspO ~dst:msg.Msg.requestor
+            ~mask:(Mask.singleton w) ())
   end;
   (* Owned in the frame: the normal case. *)
   if not (Mask.is_empty owned_here) then begin
@@ -870,6 +939,8 @@ let handle t (msg : Msg.t) =
     (match msg.Msg.kind with
     | Msg.Rsp Msg.RspWB -> ()
     | _ -> failwith "Denovo_l1: unexpected write-back response");
+    let h = (Hashtbl.find t.wb_records msg.Msg.txn).b_line land wb_hash_mask in
+    t.wb_lines.(h) <- t.wb_lines.(h) - 1;
     Hashtbl.remove t.wb_records msg.Msg.txn;
     Chassis.retire t.ch ~txn:msg.Msg.txn;
     drain t
@@ -955,12 +1026,26 @@ let create engine net cfg =
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
       ~sb_capacity:cfg.sb_capacity ~level:"l1" ~aux:"sb"
   in
+  let scan =
+    {
+      s_line = -1;
+      s_word = -1;
+      s_epoch = -1;
+      s_mask = Mask.empty;
+      s_own = Mask.empty;
+      s_rmw = Mask.empty;
+      s_read = Mask.empty;
+      s_wb = no_wb;
+      s_wb_words = Mask.empty;
+    }
+  in
   let t =
     {
       ch;
       cfg;
       frame = Cache_frame.create ~sets:cfg.sets ~ways:cfg.ways;
       wb_records = Hashtbl.create 16;
+      wb_lines = Array.make (wb_hash_mask + 1) 0;
       policy =
         Spandex_policy.make cfg.policy
           ~now:(fun () -> Engine.now engine)
@@ -970,8 +1055,13 @@ let create engine net cfg =
       k_reqo_issued = Stats.key ch.Chassis.stats "reqo_issued";
       k_reqo_words = Stats.key ch.Chassis.stats "reqo_words";
       k_wb_issued = Stats.key ch.Chassis.stats "wb_issued";
-      scan =
-        { s_line = -1; s_own = Mask.empty; s_rmw = Mask.empty; s_read = Mask.empty };
+      scan;
+      own_covers = own_covers scan;
+      fwd_own_covers = fwd_own_covers scan;
+      rmw_covers = rmw_covers scan;
+      read_coalesces = read_coalesces scan;
+      line_writes = line_writes scan;
+      wb_visit = wb_visit scan;
       epoch = 0;
     }
   in

@@ -46,15 +46,16 @@ type t = {
   mutable issue_thunk : unit -> unit;  (* preallocated issue-slot event. *)
 }
 
-let next_ready t =
-  let n = Array.length t.contexts in
-  let rec scan i =
-    if i = n then None
-    else
-      let idx = (t.rr + i) mod n in
-      if t.contexts.(idx).state = Ready then Some idx else scan (i + 1)
-  in
-  scan 0
+(* Index of the first Ready context at or after [t.rr] (round robin), or
+   -1 when none is ready.  Top-level recursion returning an int: a local
+   [let rec] and a [Some idx] would allocate on every issue. *)
+let rec next_ready_from t n i =
+  if i = n then -1
+  else
+    let idx = (t.rr + i) mod n in
+    if t.contexts.(idx).state = Ready then idx else next_ready_from t n (i + 1)
+
+let next_ready t = next_ready_from t (Array.length t.contexts) 0
 
 let rec arm t =
   if not t.issue_armed then begin
@@ -65,9 +66,8 @@ let rec arm t =
   end
 
 and issue t =
-  match next_ready t with
-  | None -> ()
-  | Some idx ->
+  let idx = next_ready t in
+  if idx >= 0 then begin
     let ctx = t.contexts.(idx) in
     t.rr <- (idx + 1) mod Array.length t.contexts;
     t.next_slot <- Engine.now t.engine + t.clock;
@@ -116,6 +116,7 @@ and issue t =
       Engine.schedule t.engine ~delay:(n * t.clock) wake);
     (* Keep issuing while other contexts are ready. *)
     arm t
+  end
 
 let create engine ~port ~barriers ~check_log ~core_id ~clock ~programs =
   assert (clock >= 1);

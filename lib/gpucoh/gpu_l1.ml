@@ -82,11 +82,10 @@ let rec drain t =
     else if Mshr.is_full t.ch.Chassis.outstanding then
       () (* retried on a response *)
     else begin
-      match
+      let txn =
         Mshr.alloc t.ch.Chassis.outstanding (Wt { wt_line = e.Store_buffer.line })
-      with
-      | None -> ()
-      | Some txn ->
+      in
+      if txn >= 0 then begin
         let e = Store_buffer.take_oldest_exn t.ch.Chassis.sb in
         let mask = e.Store_buffer.mask in
         let payload =
@@ -102,6 +101,7 @@ let rec drain t =
         (* A freed entry may unblock a stalled store. *)
         Chassis.wake_stalled t.ch;
         drain t
+      end
     end
 
 (* ----- loads ---------------------------------------------------------------- *)
@@ -162,12 +162,11 @@ let handle_nacks t ~txn (m : miss) (r : Tu.result) =
       Stats.incr t.ch.Chassis.stats "reqv_retry";
       let m' = { m with collector = fresh; retries = m.retries } in
       free_txn t ~txn;
-      (match Mshr.alloc t.ch.Chassis.outstanding (Miss m') with
-      | Some txn' ->
-        request t ~txn:txn' ~kind:Msg.ReqV ~line:m.m_line ~mask:r.Tu.nacked
-          ~demand:r.Tu.nacked ();
-        Chassis.trace_chain t.ch ~txn ~txn'
-      | None -> assert false (* we just freed a slot *))
+      let txn' = Mshr.alloc t.ch.Chassis.outstanding (Miss m') in
+      assert (txn' >= 0) (* we just freed a slot *);
+      request t ~txn:txn' ~kind:Msg.ReqV ~line:m.m_line ~mask:r.Tu.nacked
+        ~demand:r.Tu.nacked ();
+      Chassis.trace_chain t.ch ~txn ~txn'
   end
   else begin
     (* One ReqWT+data (atomic read) per still-missing word. *)
@@ -178,13 +177,12 @@ let handle_nacks t ~txn (m : miss) (r : Tu.result) =
       Stats.incr t.ch.Chassis.stats "reqv_converted";
       let m' = { m with collector = base } in
       free_txn t ~txn;
-      (match Mshr.alloc t.ch.Chassis.outstanding (Miss m') with
-      | Some txn' ->
-        Mask.iter r.Tu.nacked ~f:(fun w ->
-            request t ~txn:txn' ~kind:Msg.ReqWTdata ~line:m.m_line
-              ~mask:(Mask.singleton w) ~amo:Amo.Read ());
-        Chassis.trace_chain t.ch ~txn ~txn'
-      | None -> assert false)
+      let txn' = Mshr.alloc t.ch.Chassis.outstanding (Miss m') in
+      assert (txn' >= 0);
+      Mask.iter r.Tu.nacked ~f:(fun w ->
+          request t ~txn:txn' ~kind:Msg.ReqWTdata ~line:m.m_line
+            ~mask:(Mask.singleton w) ~amo:Amo.Read ());
+      Chassis.trace_chain t.ch ~txn ~txn'
   end
 
 let rec load t (addr : Addr.t) ~k =
@@ -222,18 +220,20 @@ let rec load t (addr : Addr.t) ~k =
             retries = 0;
           }
         in
-        match Mshr.alloc t.ch.Chassis.outstanding (Miss m) with
-        | Some txn ->
+        let txn = Mshr.alloc t.ch.Chassis.outstanding (Miss m) in
+        if txn >= 0 then begin
           (* Line-granularity read (Table II). *)
           let kind =
             Policy.req_of_read
               (t.policy.Policy.classify_read ~line:addr.Addr.line Policy.absent)
           in
           request t ~txn ~kind ~line:addr.Addr.line ~mask:Addr.full_mask ()
-        | None ->
+        end
+        else begin
           (* MSHRs exhausted: retry shortly. *)
           Stats.incr t.ch.Chassis.stats "mshr_stall";
-          Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> load t addr ~k))))
+          Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> load t addr ~k)
+        end)))
 
 (* ----- stores and atomics --------------------------------------------------- *)
 
@@ -255,30 +255,33 @@ let rec store t (addr : Addr.t) ~value ~k =
 let rmw t (addr : Addr.t) amo ~k =
   (* Atomics bypass the L1 and execute at the backing cache (§II-B). *)
   Stats.bump t.ch.Chassis.stats t.k_rmw;
-  match
+  let txn =
     Mshr.alloc t.ch.Chassis.outstanding
       (Atomic { a_word = addr.Addr.word; a_k = k })
-  with
-  | Some txn ->
+  in
+  if txn >= 0 then begin
     (* The returned data makes any cached copy of the line stale. *)
     Cache_frame.remove t.frame ~line:addr.Addr.line;
     request t ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
       ~mask:(Mask.singleton addr.Addr.word) ~amo ()
-  | None ->
+  end
+  else begin
     Stats.incr t.ch.Chassis.stats "mshr_stall";
     Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
         let rec retry () =
-          match
+          let txn =
             Mshr.alloc t.ch.Chassis.outstanding
               (Atomic { a_word = addr.Addr.word; a_k = k })
-          with
-          | Some txn ->
+          in
+          if txn >= 0 then begin
             Cache_frame.remove t.frame ~line:addr.Addr.line;
             request t ~txn ~kind:Msg.ReqWTdata ~line:addr.Addr.line
               ~mask:(Mask.singleton addr.Addr.word) ~amo ()
-          | None -> Engine.schedule t.ch.Chassis.engine ~delay:4 retry
+          end
+          else Engine.schedule t.ch.Chassis.engine ~delay:4 retry
         in
         retry ())
+  end
 
 (* ----- synchronization ------------------------------------------------------ *)
 

@@ -27,7 +27,7 @@ let count t = t.len
 let capacity t = t.capacity
 
 let alloc t v =
-  if is_full t then None
+  if is_full t then -1
   else begin
     if Array.length t.vals = 0 then t.vals <- Array.make t.capacity v;
     let i = ref 0 in
@@ -39,7 +39,7 @@ let alloc t v =
     t.vals.(!i) <- v;
     if !i >= t.hi then t.hi <- !i + 1;
     t.len <- t.len + 1;
-    Some txn
+    txn
   end
 
 (* The scans are top-level recursive functions: a local [let rec] closing
@@ -81,6 +81,15 @@ let find_first_exn t ~f =
   for i = 0 to t.hi - 1 do
     let txn = t.txns.(i) in
     if txn >= 0 && (!besti < 0 || txn < t.txns.(!besti)) && f t.vals.(i) then
+      besti := i
+  done;
+  if !besti < 0 then raise Not_found else t.vals.(!besti)
+
+let find_last_exn t ~f =
+  let besti = ref (-1) in
+  for i = 0 to t.hi - 1 do
+    let txn = t.txns.(i) in
+    if txn >= 0 && (!besti < 0 || txn > t.txns.(!besti)) && f t.vals.(i) then
       besti := i
   done;
   if !besti < 0 then raise Not_found else t.vals.(!besti)

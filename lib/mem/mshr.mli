@@ -11,8 +11,11 @@ val create : ?fresh_txn:(unit -> int) -> capacity:int -> unit -> 'a t
     ids for {!alloc}; devices pass a per-device {!Spandex_proto.Txn.next}
     so ids stay interleave-independent under the PDES backend. *)
 
-val alloc : 'a t -> 'a -> int option
-(** Allocate an entry under a fresh transaction id, or [None] if full. *)
+val alloc : 'a t -> 'a -> int
+(** Allocate an entry under a fresh transaction id and return the id, or
+    return [-1] (allocating nothing, drawing no id) if the table is full.
+    Transaction ids are never negative, so callers test [txn < 0]; the
+    plain [int] keeps the per-miss path free of a [Some] box. *)
 
 val find : 'a t -> txn:int -> 'a option
 
@@ -32,6 +35,10 @@ val find_first : 'a t -> f:('a -> bool) -> (int * 'a) option
 val find_first_exn : 'a t -> f:('a -> bool) -> 'a
 (** Allocation-free {!find_first} when the txn id is not needed; raises
     [Not_found] when no entry matches. *)
+
+val find_last_exn : 'a t -> f:('a -> bool) -> 'a
+(** Entry with the largest transaction id satisfying [f] — the newest
+    matching miss; raises [Not_found] when no entry matches. *)
 
 val exists : 'a t -> f:('a -> bool) -> bool
 (** Allocation-free [find_first ... <> None].  Unlike {!find_first} the

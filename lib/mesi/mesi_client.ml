@@ -75,16 +75,18 @@ let acquire t ~line ~excl ~k =
     let kind = if excl then Msg.ReqOdata else Msg.ReqS in
     Stats.bump t.ch.Chassis.stats (if excl then t.k_getm else t.k_gets);
     let rec fire () =
-      match
+      let txn =
         Mshr.alloc t.ch.Chassis.outstanding (Acq { a_line = line; a_k = k })
-      with
-      | Some txn ->
+      in
+      if txn >= 0 then begin
         t.parked <- t.parked - 1;
         request t ~txn ~kind ~line ()
-      | None ->
+      end
+      else begin
         (* All request slots busy: wait for responses to free one. *)
         Stats.incr t.ch.Chassis.stats "mshr_stall";
         Engine.schedule t.ch.Chassis.engine ~delay:4 fire
+      end
     in
     t.parked <- t.parked + 1;
     fire ()
@@ -99,14 +101,16 @@ let writeback t ~line ~data ~dirty ~k =
     Stats.bump t.ch.Chassis.stats t.k_putm;
     let record = Wb { w_line = line; w_values = Array.copy data; w_k = k } in
     let rec fire () =
-      match Mshr.alloc t.ch.Chassis.outstanding record with
-      | Some txn ->
+      let txn = Mshr.alloc t.ch.Chassis.outstanding record in
+      if txn >= 0 then begin
         t.parked <- t.parked - 1;
         request t ~txn ~kind:Msg.ReqWB ~line
           ~payload:(Msg.pooled_copy data) ()
-      | None ->
+      end
+      else begin
         Stats.incr t.ch.Chassis.stats "mshr_stall";
         Engine.schedule t.ch.Chassis.engine ~delay:4 fire
+      end
     in
     t.parked <- t.parked + 1;
     fire ())

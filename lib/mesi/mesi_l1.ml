@@ -67,6 +67,11 @@ type wb_req = { b_line : int; b_values : int array }
 
 type outstanding = Read of read_miss | Write of write_miss
 
+(* Lookup key and result for the MSHR and write-back scans: the
+   predicates that read it are built once in [create], so a lookup writes
+   its key here instead of allocating a closure over it. *)
+type scan = { mutable s_line : int; mutable s_wb : wb_req }
+
 type t = {
   ch : outstanding Chassis.t;
   cfg : config;
@@ -85,6 +90,11 @@ type t = {
   k_rmw_hit : Stats.key;
   k_rmw_miss : Stats.key;
   k_wb_issued : Stats.key;
+  scan : scan;
+  (* Prebuilt lookup predicates over [scan]'s key (see [create]). *)
+  write_on : outstanding -> bool;
+  read_on : outstanding -> bool;
+  wb_visit : int -> wb_req -> unit;
 }
 
 let send t msg = Chassis.send t.ch msg
@@ -136,17 +146,34 @@ let install t ~line_id ~values ~mstate =
 let entry_ready t line =
   Chassis.entry_ready ~forced:(Hashtbl.mem t.forced_lines line) t.ch line
 
-let write_pending_for t line =
-  if Mshr.count t.ch.Chassis.outstanding = 0 then None
-  else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Write w -> w.m_line = line
-      | Read _ -> false)
-  with
-  | Write w -> Some w
-  | _ -> None
-  | exception Not_found -> None
+(* The predicates [create] builds over the scan record. *)
+let write_on s = function Write w -> w.m_line = s.s_line | Read _ -> false
+let read_on s = function Read m -> m.r_line = s.s_line | Write _ -> false
+
+(* [Hashtbl.iter] order, so the last record of the line wins. *)
+let wb_visit s _txn (b : wb_req) = if b.b_line = s.s_line then s.s_wb <- b
+
+(* The oldest pending write to [line]; raises [Not_found]. *)
+let write_for_exn t line =
+  if Mshr.count t.ch.Chassis.outstanding = 0 then raise Not_found;
+  t.scan.s_line <- line;
+  match Mshr.find_first_exn t.ch.Chassis.outstanding ~f:t.write_on with
+  | Write w -> w
+  | Read _ -> assert false
+
+let write_pending t line =
+  Mshr.count t.ch.Chassis.outstanding > 0
+  && begin
+    t.scan.s_line <- line;
+    Mshr.exists t.ch.Chassis.outstanding ~f:t.write_on
+  end
+
+(* The oldest pending read of [line]; raises [Not_found]. *)
+let read_for_exn t line =
+  t.scan.s_line <- line;
+  match Mshr.find_first_exn t.ch.Chassis.outstanding ~f:t.read_on with
+  | Read m -> m
+  | Write _ -> assert false
 
 (* A pending ReqS may be granted Exclusive (option 3), making this cache
    the registered owner; issuing a ReqO+data for the same line while it is
@@ -154,16 +181,15 @@ let write_pending_for t line =
    RMWs therefore wait for reads to the same line. *)
 let read_pending t line =
   Mshr.count t.ch.Chassis.outstanding > 0
-  && Mshr.exists t.ch.Chassis.outstanding ~f:(function
-       | Read m -> m.r_line = line
-       | Write _ -> false)
+  && begin
+    t.scan.s_line <- line;
+    Mshr.exists t.ch.Chassis.outstanding ~f:t.read_on
+  end
+
+let count_write n = function Write _ -> n + 1 | Read _ -> n
 
 let writes_pending t =
-  let n = ref 0 in
-  Mshr.iter t.ch.Chassis.outstanding ~f:(fun ~txn:_ -> function
-    | Write _ -> incr n
-    | Read _ -> ());
-  !n
+  Mshr.fold t.ch.Chassis.outstanding ~init:0 ~f:count_write
 
 let rec drain t =
   match Store_buffer.peek_oldest_exn t.ch.Chassis.sb with
@@ -172,7 +198,7 @@ let rec drain t =
     let line_id = e.Store_buffer.line in
     if not (entry_ready t line_id) then
       Chassis.arm_drain t.ch ~delay:(max 1 t.cfg.coalesce_window)
-    else if write_pending_for t line_id <> None || read_pending t line_id then
+    else if write_pending t line_id || read_pending t line_id then
       (* Same-line request already in flight; strict FIFO, re-checked when
          a response arrives. *)
       ()
@@ -207,15 +233,14 @@ let rec drain t =
               m_loads = [];
             }
           in
-          (match Mshr.alloc t.ch.Chassis.outstanding (Write w) with
-          | Some txn ->
-            Stats.incr t.ch.Chassis.stats "write_miss";
-            (* Read-for-ownership: fetch the whole line with ownership. *)
-            let kind =
-              Policy.req_of_write (t.policy.Policy.classify_write ~line:line_id)
-            in
-            request t ~txn ~kind ~line:line_id ~mask:Addr.full_mask ()
-          | None -> assert false);
+          let txn = Mshr.alloc t.ch.Chassis.outstanding (Write w) in
+          assert (txn >= 0);
+          Stats.incr t.ch.Chassis.stats "write_miss";
+          (* Read-for-ownership: fetch the whole line with ownership. *)
+          let kind =
+            Policy.req_of_write (t.policy.Policy.classify_write ~line:line_id)
+          in
+          request t ~txn ~kind ~line:line_id ~mask:Addr.full_mask ();
           Store_buffer.release t.ch.Chassis.sb e;
           Chassis.wake_stalled t.ch;
           drain t
@@ -234,15 +259,15 @@ let rec load t (addr : Addr.t) ~k =
   | None -> (
     (* A drained but un-granted store also forwards; any other load beside
        a pending write to the same line waits for the write's grant. *)
-    match write_pending_for t line with
-    | Some { m_store = Some (mask, values); _ } when Mask.mem mask word ->
+    match write_for_exn t line with
+    | { m_store = Some (mask, values); _ } when Mask.mem mask word ->
       Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_sb_fwd;
       Engine.apply_later t.ch.Chassis.engine ~delay:t.cfg.hit_latency k
         values.(word)
-    | Some w ->
+    | w ->
       Stats.incr t.ch.Chassis.stats "load_waits_write";
       w.m_loads <- (word, k) :: w.m_loads
-    | None -> (
+    | exception Not_found -> (
       match Cache_frame.find_exn t.frame ~line with
       | l when l.mstate <> State.M_I ->
         Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_hit;
@@ -251,16 +276,11 @@ let rec load t (addr : Addr.t) ~k =
           l.data.(word)
       | _ | (exception Not_found) -> (
         Stats.bump t.ch.Chassis.stats t.ch.Chassis.k_load_miss;
-        match
-          Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-            | Read m -> m.r_line = line
-            | _ -> false)
-        with
-        | Read m ->
+        match read_for_exn t line with
+        | m ->
           Stats.incr t.ch.Chassis.stats "load_miss_coalesced";
           m.r_waiters <- (word, k) :: m.r_waiters
-        | _ -> assert false
-        | exception Not_found -> (
+        | exception Not_found ->
           let m =
             {
               r_line = line;
@@ -273,17 +293,19 @@ let rec load t (addr : Addr.t) ~k =
               r_queued = [];
             }
           in
-          match Mshr.alloc t.ch.Chassis.outstanding (Read m) with
-          | Some txn ->
+          let txn = Mshr.alloc t.ch.Chassis.outstanding (Read m) in
+          if txn >= 0 then begin
             let kind =
               Policy.req_of_read
                 (t.policy.Policy.classify_read ~line Policy.absent)
             in
             request t ~txn ~kind ~line ~mask:Addr.full_mask ()
-          | None ->
+          end
+          else begin
             Stats.incr t.ch.Chassis.stats "mshr_stall";
             Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () ->
-                load t addr ~k)))))
+                load t addr ~k)
+          end)))
 
 (* ----- stores and RMWs ------------------------------------------------------- *)
 
@@ -303,7 +325,7 @@ let rec rmw t (addr : Addr.t) amo ~k =
   (* Program order: buffered stores to this line must commit first. *)
   if
     Store_buffer.mem t.ch.Chassis.sb ~line
-    || write_pending_for t line <> None
+    || write_pending t line
     || read_pending t line
   then begin
     Hashtbl.replace t.forced_lines line ();
@@ -331,37 +353,32 @@ let rec rmw t (addr : Addr.t) amo ~k =
           m_loads = [];
         }
       in
-      match Mshr.alloc t.ch.Chassis.outstanding (Write w) with
-      | Some txn ->
+      let txn = Mshr.alloc t.ch.Chassis.outstanding (Write w) in
+      if txn >= 0 then begin
         let kind =
           Policy.req_of_write (t.policy.Policy.classify_write ~line)
         in
         request t ~txn ~kind ~line ~mask:Addr.full_mask ()
-      | None ->
+      end
+      else begin
         Stats.incr t.ch.Chassis.stats "mshr_stall";
-        Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> rmw t addr amo ~k))
+        Engine.schedule t.ch.Chassis.engine ~delay:4 (fun () -> rmw t addr amo ~k)
+      end)
 
 (* ----- external requests (TU behaviours, §III-D) ------------------------------ *)
 
-let wb_record_for t line =
-  if Hashtbl.length t.wb_records = 0 then None
-  else
-  Hashtbl.fold
-    (fun _ (b : wb_req) acc ->
-      if b.b_line = line then Some b else acc)
-    t.wb_records None
+(* A record no write-back lookup returns: "none in flight". *)
+let no_wb = { b_line = -1; b_values = [||] }
 
-let read_pending_for t line =
-  if Mshr.count t.ch.Chassis.outstanding = 0 then None
-  else
-  match
-    Mshr.find_first_exn t.ch.Chassis.outstanding ~f:(function
-      | Read m -> m.r_line = line
-      | Write _ -> false)
-  with
-  | Read m -> Some m
-  | _ -> None
-  | exception Not_found -> None
+(* The write-back in flight for [line], or [no_wb]. *)
+let wb_record_for t line =
+  let s = t.scan in
+  s.s_wb <- no_wb;
+  if Hashtbl.length t.wb_records > 0 then begin
+    s.s_line <- line;
+    Hashtbl.iter t.wb_visit t.wb_records
+  end;
+  s.s_wb
 
 (* Downgrade the owned line for an external request covering [msg.mask];
    words of the line outside the request are written back (Fig. 1d). *)
@@ -375,15 +392,15 @@ let rec external_req t (msg : Msg.t) =
   match Cache_frame.find_exn t.frame ~line:line_id with
   | l when l.mstate = State.M_M || l.mstate = State.M_E -> serve_owned t msg l
   | _ | (exception Not_found) -> (
-    match wb_record_for t line_id with
-    | Some b -> serve_from_wb t msg b
-    | None -> (
-      match write_pending_for t line_id with
-      | Some w -> serve_mid_write t msg w
-      | None -> (
-        match read_pending_for t line_id with
-        | Some m -> serve_mid_read t msg m
-        | None -> (
+    let b = wb_record_for t line_id in
+    if b != no_wb then serve_from_wb t msg b
+    else
+      match write_for_exn t line_id with
+      | w -> serve_mid_write t msg w
+      | exception Not_found -> (
+        match read_for_exn t line_id with
+        | m -> serve_mid_read t msg m
+        | exception Not_found -> (
           match msg.Msg.kind with
           | Msg.Req Msg.ReqV ->
             if not (Mask.is_empty msg.Msg.demand) then begin
@@ -397,7 +414,7 @@ let rec external_req t (msg : Msg.t) =
           | _ ->
             failwith
               (Format.asprintf "Mesi_l1 %d: external for line not held: %a"
-                 t.cfg.id Msg.pp msg)))))
+                 t.cfg.id Msg.pp msg))))
 
 and serve_owned t (msg : Msg.t) l =
   let line_id = msg.Msg.line in
@@ -503,18 +520,41 @@ and serve_from_wb t (msg : Msg.t) (b : wb_req) =
 
 (* ----- miss completion -------------------------------------------------------- *)
 
+(* Waiter lists are newest-first; recursing before acting serves them
+   oldest-first without reversing the list or building a closure. *)
+let rec fire_waiters values = function
+  | [] -> ()
+  | (w, k) :: rest ->
+    fire_waiters values rest;
+    k values.(w)
+
+(* Replay delayed externals in arrival (FIFO) order. *)
+let rec replay t = function
+  | [] -> ()
+  | msg :: rest ->
+    external_req t msg;
+    replay t rest
+
+(* Copy the [mask] words of [src] into [dst]: a top-level loop, where a
+   [Mask.iter] closure over both arrays would allocate. *)
+let rec copy_words ~mask ~src ~dst w =
+  if w < Addr.words_per_line then begin
+    if Mask.mem mask w then dst.(w) <- src.(w);
+    copy_words ~mask ~src ~dst (w + 1)
+  end
+
 let complete_read t ~txn (m : read_miss) (r : Tu.result) =
   free_txn t ~txn;
   if (m.r_valid_only || m.r_inv) && not m.r_excl then begin
     (* Option (2): the read is satisfied but nothing may be cached. *)
     Stats.incr t.ch.Chassis.stats "read_uncached_opt2";
-    List.iter (fun (w, k) -> k r.Tu.values.(w)) (List.rev m.r_waiters);
+    fire_waiters r.Tu.values m.r_waiters;
     drain t
   end
   else begin
   let mstate = if m.r_excl then State.M_E else State.M_S in
   let l = install t ~line_id:m.r_line ~values:r.Tu.values ~mstate in
-  List.iter (fun (w, k) -> k r.Tu.values.(w)) (List.rev m.r_waiters);
+  fire_waiters r.Tu.values m.r_waiters;
   if not (Mask.is_empty m.r_downgraded) then begin
     let keep = Mask.diff Addr.full_mask m.r_downgraded in
     if not (Mask.is_empty keep) then
@@ -523,7 +563,7 @@ let complete_read t ~txn (m : read_miss) (r : Tu.result) =
   end;
   let queued = m.r_queued in
   m.r_queued <- [];
-  List.iter (fun q -> external_req t q) queued;
+  replay t queued;
   drain t
   end
 
@@ -531,16 +571,17 @@ let complete_write t ~txn (w : write_miss) (r : Tu.result) =
   free_txn t ~txn;
   let l = install t ~line_id:w.m_line ~values:r.Tu.values ~mstate:State.M_M in
   (match w.m_store with
-  | Some (mask, values) ->
-    Mask.iter mask ~f:(fun word -> l.data.(word) <- values.(word))
+  | Some (mask, values) -> copy_words ~mask ~src:values ~dst:l.data 0
   | None -> ());
-  let rmw_finish =
+  (* The RMW applies to the granted line before any downgrade write-back;
+     its continuation runs after it. *)
+  let rmw_old =
     match w.m_rmw with
-    | Some (word, amo, k) ->
+    | Some (word, amo, _) ->
       let next, old = Amo.apply amo l.data.(word) in
       l.data.(word) <- next;
-      fun () -> k old
-    | None -> fun () -> ()
+      old
+    | None -> 0
   in
   (* TU rule (§III-D case 2): if any downgrade arrived mid-miss, fall to I
      and write back the words that were not downgraded. *)
@@ -550,14 +591,14 @@ let complete_write t ~txn (w : write_miss) (r : Tu.result) =
       send_wb_words t ~line:w.m_line ~mask:keep ~values:l.data;
     Cache_frame.remove t.frame ~line:w.m_line
   end;
-  rmw_finish ();
+  (match w.m_rmw with Some (_, _, k) -> k rmw_old | None -> ());
   (* Loads that waited on this write read the granted line. *)
-  List.iter (fun (word, k) -> k l.data.(word)) (List.rev w.m_loads);
+  fire_waiters l.data w.m_loads;
   w.m_loads <- [];
   (* Delayed externals now see a stable owner (or its write-back record). *)
   let queued = w.m_queued in
   w.m_queued <- [];
-  List.iter (fun m -> external_req t m) queued;
+  replay t queued;
   Chassis.check_release t.ch;
   drain t
 
@@ -582,9 +623,9 @@ let handle t (msg : Msg.t) =
     | _ | (exception Not_found) -> Stats.incr t.ch.Chassis.stats "inv_stale");
     (* The Inv may overtake a remote owner's direct RspS to our pending
        read: the Shared copy being assembled is already stale. *)
-    (match read_pending_for t msg.Msg.line with
-    | Some m -> m.r_inv <- true
-    | None -> ());
+    (match read_for_exn t msg.Msg.line with
+    | m -> m.r_inv <- true
+    | exception Not_found -> ());
     send t
       (Msg.make ~txn:msg.Msg.txn ~kind:(Msg.Rsp Msg.Ack) ~line:msg.Msg.line
          ~mask:msg.Msg.mask ~src:t.cfg.id ~dst:msg.Msg.src ())
@@ -645,6 +686,7 @@ let create engine net cfg =
       ~coalesce_window:cfg.coalesce_window ~mshrs:cfg.mshrs
       ~sb_capacity:cfg.sb_capacity ~level:"l1" ~aux:"sb"
   in
+  let scan = { s_line = -1; s_wb = no_wb } in
   let t =
     {
       ch;
@@ -659,6 +701,10 @@ let create engine net cfg =
       k_rmw_hit = Stats.key ch.Chassis.stats "rmw_hit";
       k_rmw_miss = Stats.key ch.Chassis.stats "rmw_miss";
       k_wb_issued = Stats.key ch.Chassis.stats "wb_issued";
+      scan;
+      write_on = write_on scan;
+      read_on = read_on scan;
+      wb_visit = wb_visit scan;
     }
   in
   ch.Chassis.drain <- (fun () -> drain t);

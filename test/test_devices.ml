@@ -452,6 +452,89 @@ let denovo_read_fill_allocation () =
   if words > 44.0 then
     Alcotest.failf "read miss completion allocated %.0f words" words
 
+(* Two releases of stores to one word leave two ReqOs pending: the DeNovo
+   drain, unlike MESI's, does not wait for a same-line write in flight. *)
+let denovo_two_pending_stores h =
+  let l1 = mk_denovo h in
+  let port = Denovo_l1.port l1 in
+  let store_release v =
+    clear h;
+    port.Port.store (a 3 4) ~value:v ~k:(fun () -> ());
+    port.Port.release ~k:(fun () -> ());
+    run h;
+    expect ~what:"ReqO" (llc_msgs h) (Msg.Req Msg.ReqO)
+  in
+  let first = store_release 1 in
+  let second = store_release 2 in
+  clear h;
+  (l1, port, first, second)
+
+let denovo_load_forwards_newest_pending_store () =
+  (* Same-core read-after-write: with both stores still ungranted, a load
+     must see the program-order-last value. *)
+  let h = harness () in
+  let _l1, port, _, _ = denovo_two_pending_stores h in
+  let got = ref 0 in
+  port.Port.load (a 3 4) ~k:(fun v -> got := v);
+  run h;
+  check_int "newest pending store forwards" 2 !got
+
+let denovo_reversed_own_grants_keep_newest () =
+  (* The LLC serialized the ReqOs in issue order, but the second grant
+     arrives first: committing the first must not overwrite the second. *)
+  let h = harness () in
+  let l1, port, first, second = denovo_two_pending_stores h in
+  reply h ~to_:second ~kind:Msg.RspO ();
+  reply h ~to_:first ~kind:Msg.RspO ();
+  check_bool "owned" true (Denovo_l1.word_state l1 (a 3 4) = State.O);
+  check_bool "newest value committed" true
+    (Denovo_l1.peek_word l1 (a 3 4) = Some 2);
+  let got = ref 0 in
+  port.Port.load (a 3 4) ~k:(fun v -> got := v);
+  run h;
+  check_int "load after both grants" 2 !got
+
+let denovo_load_hit_allocation_free () =
+  (* The load port checks pending stores, write-backs and RMWs before the
+     frame; with a ReqO pending and a write-back in flight, a hit on an
+     owned word must still allocate nothing. *)
+  let h = harness () in
+  let l1 = mk_denovo h in
+  let port = Denovo_l1.port l1 in
+  let own line v =
+    clear h;
+    port.Port.store (a line 0) ~value:v ~k:(fun () -> ());
+    port.Port.release ~k:(fun () -> ());
+    run h;
+    let m = expect ~what:"own" (llc_msgs h) (Msg.Req Msg.ReqO) in
+    clear h;
+    reply h ~to_:m ~kind:Msg.RspO ()
+  in
+  (* sets=4, ways=2: owning line 16 evicts line 8 or 12 into a ReqWB. *)
+  own 8 80;
+  own 12 120;
+  own 16 160;
+  let wb = expect ~what:"eviction wb" (llc_msgs h) (Msg.Req Msg.ReqWB) in
+  clear h;
+  port.Port.store (a 5 1) ~value:51 ~k:(fun () -> ());
+  port.Port.release ~k:(fun () -> ());
+  run h;
+  let pending = expect ~what:"unrelated ReqO" (llc_msgs h) (Msg.Req Msg.ReqO) in
+  let got = ref 0 in
+  let k v = got := v in
+  let addr = a 16 0 in
+  port.Port.load addr ~k;
+  run h;
+  let w0 = Gc.minor_words () in
+  port.Port.load addr ~k;
+  let words = Gc.minor_words () -. w0 in
+  run h;
+  check_int "owned value" 160 !got;
+  if words > 0.0 then
+    Alcotest.failf "DeNovo load hit allocated %.0f words" words;
+  reply h ~to_:wb ~kind:Msg.RspWB ();
+  reply h ~to_:pending ~kind:Msg.RspO ()
+
 (* ===== MESI ================================================================== *)
 
 let mesi_read_miss_reqs () =
@@ -603,6 +686,97 @@ let mesi_steal_mid_write () =
   check_bool "line dropped (III-D rule)" true (Mesi_l1.line_state l1 ~line:9 = State.M_I);
   check_bool "store value in the wb" true (List.mem 94 (values wb))
 
+let mesi_coalesced_loads_in_issue_order () =
+  let h = harness () in
+  let l1 = mk_mesi h in
+  let port = Mesi_l1.port l1 in
+  let order = ref [] in
+  List.iter
+    (fun word -> port.Port.load (a 2 word) ~k:(fun v -> order := v :: !order))
+    [ 9; 1; 5 ];
+  run h;
+  let m = expect ~what:"one gets" (llc_msgs h) (Msg.Req Msg.ReqS) in
+  check_int "coalesced" 1 (List.length (llc_msgs h));
+  reply h ~to_:m ~kind:Msg.RspS ~payload:(Msg.Data (Array.init 16 Fun.id)) ();
+  Alcotest.(check (list int)) "issue order" [ 9; 1; 5 ] (List.rev !order)
+
+let mesi_parked_loads_then_fifo_externals () =
+  (* A store miss with two loads parked behind it and two data-needing
+     externals queued on it. *)
+  let h = harness () in
+  let l1 = mk_mesi h in
+  let port = Mesi_l1.port l1 in
+  port.Port.store (a 4 2) ~value:42 ~k:(fun () -> ());
+  port.Port.release ~k:(fun () -> ());
+  run h;
+  let rfo = expect ~what:"rfo" (llc_msgs h) (Msg.Req Msg.ReqOdata) in
+  clear h;
+  let log = ref [] in
+  List.iter
+    (fun word ->
+      port.Port.load (a 4 word) ~k:(fun v ->
+          (* The queued externals (the ReqS downgrades the line) have not
+             been replayed yet. *)
+          let st = Mesi_l1.line_state l1 ~line:4 in
+          log := (word, v, st = State.M_M) :: !log))
+    [ 7; 3 ];
+  run h;
+  inject h ~kind:(Msg.Req Msg.ReqV) ~line:4 ~mask:(w 0) ~demand:(w 0) ();
+  inject h ~kind:(Msg.Req Msg.ReqS) ~line:4 ~mask:full ();
+  check_bool "externals queued" true (peer_msgs h = []);
+  reply h ~to_:rfo ~kind:Msg.RspOdata
+    ~payload:(Msg.Data (Array.init 16 (fun i -> 100 + i)))
+    ();
+  Alcotest.(check (list (triple int int bool)))
+    "loads in issue order, before the replay"
+    [ (7, 107, true); (3, 103, true) ]
+    (List.rev !log);
+  Alcotest.(check (list string)) "externals replayed FIFO" [ "RspV"; "RspS" ]
+    (List.map (fun (m : Msg.t) -> Msg.kind_name m.Msg.kind) (peer_msgs h));
+  check_bool "S after the replayed ReqS" true
+    (Mesi_l1.line_state l1 ~line:4 = State.M_S)
+
+let mesi_write_fill_allocation () =
+  (* Completing a store miss with two parked loads and a queued ReqV
+     allocates the TU's line array and completion option (19 words), the
+     new frame line (20) and the ReqV's response (19), and nothing per
+     waiter or per queued external: no list reversal, no closure. *)
+  let h = harness () in
+  let l1 = mk_mesi h in
+  let port = Mesi_l1.port l1 in
+  let meter = handler_meter h in
+  (* The first fill also creates the frame's slot arrays; warm it up. *)
+  port.Port.load (a 1 0) ~k:(fun _ -> ());
+  run h;
+  reply h
+    ~to_:(expect ~what:"gets" (llc_msgs h) (Msg.Req Msg.ReqS))
+    ~kind:Msg.RspS
+    ~payload:(Msg.Data (Array.make 16 1))
+    ();
+  clear h;
+  port.Port.store (a 4 2) ~value:42 ~k:(fun () -> ());
+  port.Port.release ~k:(fun () -> ());
+  run h;
+  let rfo = expect ~what:"rfo" (llc_msgs h) (Msg.Req Msg.ReqOdata) in
+  clear h;
+  let got = Array.make 2 0 and n = ref 0 in
+  let k v =
+    got.(!n) <- v;
+    incr n
+  in
+  port.Port.load (a 4 7) ~k;
+  port.Port.load (a 4 3) ~k;
+  run h;
+  inject h ~kind:(Msg.Req Msg.ReqV) ~line:4 ~mask:(w 0) ~demand:(w 0) ();
+  let payload = Msg.Data (Array.init 16 (fun i -> 100 + i)) in
+  let words =
+    meter (fun () -> reply h ~to_:rfo ~kind:Msg.RspOdata ~payload ())
+  in
+  Alcotest.(check (array int)) "loads served" [| 107; 103 |] got;
+  ignore (expect ~what:"queued ReqV served" (peer_msgs h) (Msg.Rsp Msg.RspV));
+  if words > 60.0 then
+    Alcotest.failf "MESI RspO+data completion allocated %.0f words" words
+
 let mesi_eviction_writes_back_m () =
   let h = harness () in
   let l1 = mk_mesi h in
@@ -643,6 +817,11 @@ let tests =
     test "denovo_data_request_mid_rmw_delayed" denovo_data_request_mid_rmw_delayed;
     test "denovo_external_reqv_allocation" denovo_external_reqv_allocation;
     test "denovo_read_fill_allocation" denovo_read_fill_allocation;
+    test "denovo_load_forwards_newest_pending_store"
+      denovo_load_forwards_newest_pending_store;
+    test "denovo_reversed_own_grants_keep_newest"
+      denovo_reversed_own_grants_keep_newest;
+    test "denovo_load_hit_allocation_free" denovo_load_hit_allocation_free;
     test "mesi_read_miss_reqs" mesi_read_miss_reqs;
     test "mesi_e_grant_and_silent_upgrade" mesi_e_grant_and_silent_upgrade;
     test "mesi_write_miss_rfo" mesi_write_miss_rfo;
@@ -652,4 +831,8 @@ let tests =
     test "mesi_rvko_writes_back" mesi_rvko_writes_back;
     test "mesi_steal_mid_write" mesi_steal_mid_write;
     test "mesi_eviction_writes_back_m" mesi_eviction_writes_back_m;
+    test "mesi_coalesced_loads_in_issue_order" mesi_coalesced_loads_in_issue_order;
+    test "mesi_parked_loads_then_fifo_externals"
+      mesi_parked_loads_then_fifo_externals;
+    test "mesi_write_fill_allocation" mesi_write_fill_allocation;
   ]

@@ -398,6 +398,46 @@ let core_barrier_is_release_acquire () =
     [ "release"; "acquire" ]
     (List.rev_map (function `Release -> "release" | `Acquire -> "acquire") !log)
 
+let core_issue_allocation () =
+  (* Issuing an op is the per-op hot path: with four contexts on a stub
+     port whose loads complete through the engine's closure-free Apply
+     event, 10k loads stay under one minor word per op. *)
+  let e = Engine.create () in
+  let port =
+    {
+      Port.load = (fun _ ~k -> Engine.apply_later e ~delay:2 k 0);
+      store = (fun _ ~value:_ ~k -> Engine.schedule e ~delay:1 k);
+      rmw = (fun _ _ ~k -> Engine.apply_later e ~delay:1 k 0);
+      acquire = (fun ~k -> Engine.schedule e ~delay:1 k);
+      acquire_region = (fun ~region:_ ~k -> Engine.schedule e ~delay:1 k);
+      release = (fun ~k -> Engine.schedule e ~delay:1 k);
+      quiescent = (fun () -> true);
+      describe_pending = (fun () -> "stub");
+    }
+  in
+  let loads = 10_000 and contexts = 4 in
+  let programs =
+    Array.init contexts (fun c ->
+        Array.init (loads / contexts) (fun i ->
+            Spandex_device.Ops.Load (a c (i land 15))))
+  in
+  let core =
+    Spandex_device.Core.create e ~port ~barriers:[||]
+      ~check_log:(Spandex_device.Check_log.create ())
+      ~core_id:0 ~clock:1 ~programs
+  in
+  let until_done () = Spandex_device.Core.finished core in
+  let pending_desc () = "core" in
+  Spandex_device.Core.start core;
+  let w0 = Gc.minor_words () in
+  ignore (Engine.run e ~until_done ~pending_desc : int);
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int loads in
+  check_bool "finished" true (until_done ());
+  check_int "loads issued" loads
+    (Spandex_util.Stats.get (Spandex_device.Core.stats core) "loads");
+  if per_op >= 1.0 then
+    Alcotest.failf "core issue allocated %.2f minor words per op" per_op
+
 let tests =
   [
     test "gpu_sb_pressure_stalls_and_recovers" gpu_sb_pressure_stalls_and_recovers;
@@ -415,4 +455,5 @@ let tests =
     test "llc_writer_keeps_its_shared_copy" llc_writer_keeps_its_shared_copy;
     test "llc_dirty_eviction_after_wb_merge" llc_dirty_eviction_after_wb_merge;
     test "core_barrier_is_release_acquire" core_barrier_is_release_acquire;
+    test "core_issue_allocation" core_issue_allocation;
   ]

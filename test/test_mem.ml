@@ -249,10 +249,10 @@ let frame_size_lines () =
 
 let mshr_alloc_free () =
   let m = Mshr.create ~capacity:2 () in
-  let t1 = Option.get (Mshr.alloc m "a") in
-  let t2 = Option.get (Mshr.alloc m "b") in
+  let t1 = Mshr.alloc m "a" in
+  let t2 = Mshr.alloc m "b" in
   check_bool "full" true (Mshr.is_full m);
-  check_bool "alloc fails when full" true (Mshr.alloc m "c" = None);
+  check_bool "alloc fails when full" true (Mshr.alloc m "c" = -1);
   Alcotest.(check (option string)) "find" (Some "a") (Mshr.find m ~txn:t1);
   Mshr.free m ~txn:t1;
   check_bool "not full" false (Mshr.is_full m);
@@ -262,9 +262,9 @@ let mshr_alloc_free () =
 
 let mshr_find_first_oldest () =
   let m = Mshr.create ~capacity:8 () in
-  let _t1 = Option.get (Mshr.alloc m 10) in
-  let t2 = Option.get (Mshr.alloc m 20) in
-  let _t3 = Option.get (Mshr.alloc m 21) in
+  let _t1 = Mshr.alloc m 10 in
+  let t2 = Mshr.alloc m 20 in
+  let _t3 = Mshr.alloc m 21 in
   (match Mshr.find_first m ~f:(fun v -> v >= 20) with
   | Some (txn, 20) -> check_int "oldest matching" t2 txn
   | _ -> Alcotest.fail "expected to find 20")
