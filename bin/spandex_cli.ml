@@ -347,10 +347,25 @@ let simulate_traced ~params ~config entry ~scale =
   Run.assert_clean r;
   r
 
-let device_name_of (r : Run.result) id =
-  if id >= 0 && id < Array.length r.Run.device_names then
-    r.Run.device_names.(id)
-  else Printf.sprintf "dev%d" id
+(* The metrics sampler's cadence, shared by [trace] (whose Chrome export
+   takes its occupancy tracks from the metrics registry) and [metrics]. *)
+let sample_every_arg =
+  Arg.(
+    value & opt int Metrics.default_spec.Metrics.sample_every
+    & info [ "sample-every" ]
+        ~doc:"Cycles between metric samples (occupancy counter tracks).")
+
+let metrics_spec sample_every =
+  if sample_every < 1 then begin
+    Printf.eprintf "--sample-every must be >= 1\n";
+    exit 1
+  end;
+  { Metrics.sample_every }
+
+let write_buffer out buf =
+  let oc = open_out out in
+  Buffer.output_buffer oc buf;
+  close_out oc
 
 let workload_pos_arg =
   let doc =
@@ -364,9 +379,17 @@ let trace_cmd =
       reorder fault_seed =
     let entry = find_entry workload in
     let config = find_config config in
-    let spec = { Trace.capacity; sample_every } in
+    let metrics = metrics_spec sample_every in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
-    let params = { Params.bench with Params.trace = Some spec; fault } in
+    let params =
+      {
+        Params.bench with
+        Params.trace = Some { Trace.capacity };
+        (* The Chrome timeline's occupancy tracks are the metric series. *)
+        metrics = (if format = "chrome" then Some metrics else None);
+        fault;
+      }
+    in
     let r = simulate_traced ~params ~config entry ~scale in
     let tr = r.Run.trace in
     let out =
@@ -378,14 +401,12 @@ let trace_cmd =
     in
     let buf = Buffer.create (1 lsl 16) in
     (match format with
-    | "chrome" -> Trace.export_chrome tr ~device_name:(device_name_of r) buf
-    | "jsonl" -> Trace.export_jsonl tr ~device_name:(device_name_of r) buf
+    | "chrome" -> Report.export_chrome r buf
+    | "jsonl" -> Trace.export_jsonl tr ~device_name:(Report.device_name r) buf
     | f ->
       Printf.eprintf "unknown trace format %s (chrome or jsonl)\n" f;
       exit 1);
-    let oc = open_out out in
-    Buffer.output_buffer oc buf;
-    close_out oc;
+    write_buffer out buf;
     Printf.printf "%s %s: %d events recorded (%d dropped, %d open spans)\n"
       entry.Registry.name config.Config.name (Trace.recorded tr)
       (Trace.dropped tr) (Trace.open_spans tr);
@@ -400,8 +421,9 @@ let trace_cmd =
       & info [ "format" ]
           ~doc:
             "Export format: 'chrome' (Chrome trace-event JSON, loadable in \
-             Perfetto or chrome://tracing) or 'jsonl' (one JSON object per \
-             line for ad-hoc analysis).")
+             Perfetto or chrome://tracing, with the occupancy metrics \
+             merged in as counter tracks) or 'jsonl' (one JSON object per \
+             line for ad-hoc analysis; protocol events only).")
   in
   let out_arg =
     Arg.(
@@ -416,12 +438,6 @@ let trace_cmd =
           ~doc:
             "Trace ring capacity in events (rounded up to a power of two); \
              the oldest events are dropped once it fills.")
-  in
-  let sample_every_arg =
-    Arg.(
-      value & opt int Trace.default_spec.Trace.sample_every
-      & info [ "sample-every" ]
-          ~doc:"Cycles between occupancy counter samples.")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -439,14 +455,13 @@ let explain_cmd =
       =
     let entry = find_entry workload in
     let config = find_config config in
-    (* Sparse counter samples: the ring budget goes to the protocol events
-       [explain] actually renders. *)
-    let spec = { Trace.capacity; sample_every = 1 lsl 20 } in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
-    let params = { Params.bench with Params.trace = Some spec; fault } in
+    let params =
+      { Params.bench with Params.trace = Some { Trace.capacity }; fault }
+    in
     let r = simulate_traced ~params ~config entry ~scale in
     let tr = r.Run.trace in
-    let dev = device_name_of r in
+    let dev = Report.device_name r in
     (* The transaction family: the requested txn plus every successor
        linked by a txn.chain instant (timeout re-issues reuse the same txn
        id; protocol-level retries and conversions allocate a new one and
@@ -523,15 +538,12 @@ let metrics_cmd =
   let run workload config scale format out sample_every engine shards =
     let entry = find_entry workload in
     let config = find_config config in
-    if sample_every < 1 then begin
-      Printf.eprintf "--sample-every must be >= 1\n";
-      exit 1
-    end;
+    let metrics = metrics_spec sample_every in
     let backend = backend_of ~shards engine in
     let params =
       {
         Params.bench with
-        Params.metrics = Some { Metrics.sample_every };
+        Params.metrics = Some metrics;
         engine_backend = backend;
         (* The chrome export merges metric counter tracks into the
            transaction timeline, so it needs the trace sink too. *)
@@ -552,19 +564,12 @@ let metrics_cmd =
     (match format with
     | "openmetrics" -> Metrics.export_openmetrics m buf
     | "csv" -> Metrics.export_csv m buf
-    | "chrome" ->
-      Trace.export_chrome
-        ~extra:(Metrics.chrome_counter_events m)
-        r.Run.trace
-        ~device_name:(device_name_of r)
-        buf
+    | "chrome" -> Report.export_chrome r buf
     | f ->
       Printf.eprintf "unknown metrics format %s (openmetrics, csv or chrome)\n"
         f;
       exit 1);
-    let oc = open_out out in
-    Buffer.output_buffer oc buf;
-    close_out oc;
+    write_buffer out buf;
     Printf.printf "%s %s: %d series, %d samples (every %d cycles)\n"
       entry.Registry.name config.Config.name (Metrics.num_series m)
       (Metrics.num_samples m) sample_every;
@@ -588,12 +593,6 @@ let metrics_cmd =
       value & opt (some string) None
       & info [ "o"; "out" ]
           ~doc:"Output path (default METRICS_<workload>_<config>.<ext>).")
-  in
-  let sample_every_arg =
-    Arg.(
-      value & opt int Metrics.default_spec.Metrics.sample_every
-      & info [ "sample-every" ]
-          ~doc:"Cycles between metric samples.")
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -766,9 +765,7 @@ let check_replay ~path ~out =
     in
     let buf = Buffer.create (1 lsl 16) in
     Trace.export_chrome tr ~device_name:dev buf;
-    let oc = open_out out in
-    Buffer.output_buffer oc buf;
-    close_out oc;
+    write_buffer out buf;
     Printf.printf "wrote %s (load it at https://ui.perfetto.dev)\n" out);
   match violation with
   | Some v ->
@@ -1357,9 +1354,7 @@ let bench_cmd =
         Printf.bprintf buf " }%s\n" (if i = n - 1 then "" else ","))
       seq;
     Printf.bprintf buf "  ]\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
+    write_buffer out buf;
     Printf.printf
       "  sequential: %.2fs | parallel (%d jobs): %.2fs | speedup: %.2fx\n"
       seq_wall jobs par_wall speedup;
@@ -1466,20 +1461,18 @@ let bench_cmd =
       $ shards_arg $ repeat_arg)
 
 let soak_cmd =
-  let run seeds jobs_geometry =
-    let params, tiny, geom =
-      match jobs_geometry with
-      | _ ->
-        ( { Params.bench with Params.cpu_cores = 2; gpu_cus = 2; warps_per_cu = 2 },
-          {
-            Params.small with
-            Params.cpu_cores = 2;
-            gpu_cus = 2;
-            warps_per_cu = 2;
-            mem_latency = 15;
-          },
-          { Spandex_workloads.Microbench.cpus = 2; cus = 2; warps = 2 } )
-    in
+  let run seeds =
+    let params =
+      { Params.bench with Params.cpu_cores = 2; gpu_cus = 2; warps_per_cu = 2 }
+    and tiny =
+      {
+        Params.small with
+        Params.cpu_cores = 2;
+        gpu_cus = 2;
+        warps_per_cu = 2;
+        mem_latency = 15;
+      }
+    and geom = { Spandex_workloads.Microbench.cpus = 2; cus = 2; warps = 2 } in
     let fails = ref 0 and runs = ref 0 in
     for seed = 1 to seeds do
       List.iter
@@ -1529,7 +1522,7 @@ let soak_cmd =
          "Randomized SC-for-DRF litmus soak: every seed builds a fresh \
           data-race-free program whose checked loads verify the protocols \
           on all configurations (contended and capacity-pressure variants)")
-    Term.(const run $ seeds_arg $ const ())
+    Term.(const run $ seeds_arg)
 
 let () =
   let info =

@@ -38,9 +38,7 @@ let device_name = function
   | d -> Printf.sprintf "dev%d" d
 
 let () =
-  let trace =
-    Trace.create { Trace.capacity = 1 lsl 12; sample_every = 1 lsl 20 }
-  in
+  let trace = Trace.create { Trace.capacity = 1 lsl 12 } in
   let engine = Engine.create ~trace () in
   let net = Network.create engine (Network.flat_topology ~latency:4) in
   let dram = Dram.create engine ~latency:20 ~service_interval:1 in

@@ -93,8 +93,6 @@ type bank = {
   bk_trace : Trace.t;
   bk_n_replay : int;  (* interned trace names (0 on a disabled sink). *)
   bk_n_recall : int;
-  bk_n_pending : int;
-  bk_n_blocked : int;
 }
 
 type t = {
@@ -927,8 +925,6 @@ let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
       bk_trace = trace;
       bk_n_replay = Trace.name trace "llc.replay";
       bk_n_recall = Trace.name trace "llc.recall";
-      bk_n_pending = Trace.name trace "llc.pending";
-      bk_n_blocked = Trace.name trace "llc.blocked";
     }
   in
   let t =
@@ -987,24 +983,6 @@ let create ?bank_engines ?bank_backings engine net backing (cfg : config) =
   t
 
 let bank_count t = t.cfg.banks
-
-(* Per-bank occupancy counters, sampled from the bank's own shard: dev is
-   the bank's network endpoint, the sink is the bank's shard trace. *)
-let bank_trace_sample t b ~time =
-  let bk = t.banks.(b) in
-  let pending, blocked =
-    fold_bank t b ~init:(0, 0) ~f:(fun (p, bl) ~line:_ m ->
-        ((if m.pending = None then p else p + 1), bl + List.length m.blocked))
-  in
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.llc_id + b) ~name:bk.bk_n_pending
-    ~value:pending;
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.llc_id + b) ~name:bk.bk_n_blocked
-    ~value:blocked
-
-let trace_sample t ~time =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_trace_sample t b ~time
-  done
 
 (* Metrics probes, registered per bank so each bank's series lives on its
    own shard's registry: resident-line occupancy (the bank-sharding lever

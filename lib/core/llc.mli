@@ -86,15 +86,6 @@ val bank_stats : t -> int -> Spandex_util.Stats.t
 (** Bank [b]'s counters; merge all banks under one prefix to reproduce
     the aggregate ({!Spandex_util.Stats.merge_into} sums). *)
 
-val trace_sample : t -> time:int -> unit
-(** Record every bank's pending/blocked occupancy counters
-    (["llc.pending"] / ["llc.blocked"], dev = the bank endpoint); no-op
-    when disabled. *)
-
-val bank_trace_sample : t -> int -> time:int -> unit
-(** One bank's occupancy counters, on that bank's shard trace — the
-    sharded sampler entry point (sampling must stay shard-local). *)
-
 val register_metrics : t -> device:string -> Spandex_obs.Metrics.t -> unit
 (** Register every bank's probes on one registry (single-registry runs):
     resident-line gauges, pending/blocked transaction-pressure gauges,

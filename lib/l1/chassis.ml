@@ -33,8 +33,6 @@ type 'o t = {
   n_retry : int;
   n_nack : int;
   n_chain : int;
-  n_occ_mshr : int;
-  n_occ_aux : int;
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
@@ -47,7 +45,7 @@ type 'o t = {
 }
 
 let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
-    ~mshrs ~sb_capacity ~level ~aux =
+    ~mshrs ~sb_capacity ~level =
   let stats = Stats.create () in
   let trace = Engine.trace engine in
   let retry =
@@ -83,8 +81,6 @@ let create engine net ~id ~home_id ~home_banks ~hit_latency ~coalesce_window
       n_retry = Trace.name trace "retry.resend";
       n_nack = Trace.name trace "tu.nack";
       n_chain = Trace.name trace "txn.chain";
-      n_occ_mshr = Trace.name trace (Printf.sprintf "%s.%d.mshr" level id);
-      n_occ_aux = Trace.name trace (Printf.sprintf "%s.%d.%s" level id aux);
       flushing = false;
       drain_armed = false;
       release_waiters = [];
@@ -235,12 +231,6 @@ let stall_store t retry =
   Stats.incr t.stats "sb_full_stall";
   t.stalled_stores <- retry :: t.stalled_stores;
   arm_drain t ~delay:1
-
-let trace_sample t ~time ?aux () =
-  Trace.counter t.trace ~time ~dev:t.id ~name:t.n_occ_mshr
-    ~value:(Mshr.count t.outstanding);
-  Trace.counter t.trace ~time ~dev:t.id ~name:t.n_occ_aux
-    ~value:(Option.value ~default:(Store_buffer.count t.sb) aux)
 
 (* Metrics probes shared by every protocol built on the chassis: MSHR and
    store-buffer (or protocol-specific [aux]) occupancy gauges plus the

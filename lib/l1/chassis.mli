@@ -50,8 +50,6 @@ type 'o t = {
   n_retry : int;  (** interned trace names (0 on a disabled sink). *)
   n_nack : int;
   n_chain : int;
-  n_occ_mshr : int;
-  n_occ_aux : int;
   mutable flushing : bool;
   mutable drain_armed : bool;
   mutable release_waiters : (unit -> unit) list;
@@ -80,11 +78,10 @@ val create :
   mshrs:int ->
   sb_capacity:int ->
   level:string ->
-  aux:string ->
   'o t
-(** [level]/[aux] name the occupancy trace counters
-    (["<level>.<id>.mshr"], ["<level>.<id>.<aux>"]).  Does not register a
-    network handler: the protocol owns message dispatch. *)
+(** [level] names the device in stuck-transaction reports
+    (["<level>.<id>"]).  Does not register a network handler: the protocol
+    owns message dispatch. *)
 
 val fresh_txn : 'o t -> int
 (** Draw a transaction id from the device's allocator — for transactions
@@ -164,10 +161,6 @@ val wake_stalled : 'o t -> unit
 val stall_store : 'o t -> (unit -> unit) -> unit
 (** Park a store that found the buffer full and arm a drain. *)
 
-val trace_sample : 'o t -> time:int -> ?aux:int -> unit -> unit
-(** Emit the occupancy counters; [aux] defaults to the store-buffer
-    count. *)
-
 val register_metrics :
   'o t ->
   device:string ->
@@ -176,8 +169,8 @@ val register_metrics :
   unit
 (** Register the chassis's standard probes on a metrics registry: MSHR
     occupancy, store-buffer occupancy (or the [aux] (name, probe) gauge a
-    protocol substitutes, as {!trace_sample}'s [aux] does), store-buffer
-    full-stall and retry counters — all labelled [device]. *)
+    protocol substitutes), store-buffer full-stall and retry counters —
+    all labelled [device]. *)
 
 val pending_summary :
   'o t -> describe:('o -> string) -> extra:(int * string) list -> string

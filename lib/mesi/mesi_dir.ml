@@ -51,9 +51,7 @@ type bank = {
   bk_stats : Stats.t;
   bk_req_keys : Stats.key array;  (* "req.<kind>" by [Msg.req_kind_index]. *)
   bk_trace : Trace.t;
-  bk_n_replay : int;  (* interned trace names (0 on a disabled sink). *)
-  bk_n_pending : int;
-  bk_n_blocked : int;
+  bk_n_replay : int;  (* interned trace name (0 on a disabled sink). *)
 }
 
 type t = {
@@ -445,8 +443,6 @@ let create ?bank_engines engine net dram (cfg : config) =
          keys);
       bk_trace = trace;
       bk_n_replay = Trace.name trace "dir.replay";
-      bk_n_pending = Trace.name trace "dir.pending";
-      bk_n_blocked = Trace.name trace "dir.blocked";
     }
   in
   let t =
@@ -497,22 +493,6 @@ let create ?bank_engines engine net dram (cfg : config) =
   t
 
 let bank_count t = t.cfg.banks
-
-let bank_trace_sample t b ~time =
-  let bk = t.banks.(b) in
-  let pending, blocked =
-    Frames.fold_bank t.frame b ~init:(0, 0) ~f:(fun (p, bl) ~line:_ m ->
-        ((if m.pending = None then p else p + 1), bl + List.length m.blocked))
-  in
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.dir_id + b) ~name:bk.bk_n_pending
-    ~value:pending;
-  Trace.counter bk.bk_trace ~time ~dev:(t.cfg.dir_id + b) ~name:bk.bk_n_blocked
-    ~value:blocked
-
-let trace_sample t ~time =
-  for b = 0 to t.cfg.banks - 1 do
-    bank_trace_sample t b ~time
-  done
 
 let bank_register_metrics t ~device b reg =
   let module Metrics = Spandex_obs.Metrics in

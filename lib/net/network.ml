@@ -49,7 +49,6 @@ type shard = {
   sh_in_flight : int ref;
   mutable sh_messages : int;
   sh_trace : Trace.t;  (** that engine's sink; [Trace.disabled] when off. *)
-  sh_n_in_flight : int;  (** interned trace counter name. *)
   sh_n_fault_drop : int;
   sh_n_fault_dup : int;
   sh_n_fault_delay : int;
@@ -259,7 +258,6 @@ let make_shard engine =
     sh_in_flight = ref 0;
     sh_messages = 0;
     sh_trace = trace;
-    sh_n_in_flight = Trace.name trace "net.in_flight";
     sh_n_fault_drop = Trace.name trace "fault.drop";
     sh_n_fault_dup = Trace.name trace "fault.dup";
     sh_n_fault_delay = Trace.name trace "fault.delay";
@@ -301,16 +299,6 @@ let create ?fault engine topo =
 
 let in_flight t =
   Array.fold_left (fun acc sh -> acc + !(sh.sh_in_flight)) 0 t.shards
-
-let trace_sample t ~time =
-  let sh = t.shards.(0) in
-  Trace.counter sh.sh_trace ~time ~dev:0 ~name:sh.sh_n_in_flight
-    ~value:!(sh.sh_in_flight)
-
-let trace_sample_shard t ~shard ~time =
-  let sh = t.shards.(shard) in
-  Trace.counter sh.sh_trace ~time ~dev:0 ~name:sh.sh_n_in_flight
-    ~value:!(sh.sh_in_flight)
 
 let traffic_flits t cat =
   let i = category_index cat in

@@ -123,13 +123,6 @@ val shard_count : t -> int
 val shard_of : t -> int -> int
 (** The shard owning device [id] (as passed to {!create_sharded}). *)
 
-val trace_sample : t -> time:int -> unit
-(** Record shard 0's in-flight count into its trace sink as a
-    ["net.in_flight"] counter sample; no-op when tracing is disabled. *)
-
-val trace_sample_shard : t -> shard:int -> time:int -> unit
-(** Per-shard variant, called from that shard's sampler. *)
-
 val traffic_flits : t -> Spandex_proto.Msg.category -> int
 val total_flits : t -> int
 val messages_sent : t -> int

@@ -1,12 +1,12 @@
 (* Time-series metrics registry.
 
    Probes are registered once at system-build time and read by the
-   engine's inline sampler on the lookahead/cycle grid — the same
-   zero-event trick as the trace sink's occupancy sampler, so sampling
-   never enqueues events and a metrics-on run is bit-identical to a
-   metrics-off run.  Every sample is (cycle, value) appended to a
-   growable column per series; export renders the columns as OpenMetrics
-   text, CSV, or Chrome trace-event counter tracks.
+   engine's inline sampler on the lookahead/cycle grid, which runs inside
+   the dispatch loop, so sampling never enqueues events and a metrics-on
+   run is bit-identical to a metrics-off run.  Every sample is (cycle,
+   value) appended to a growable column per series; export renders the
+   columns as OpenMetrics text, CSV, or Chrome trace-event counter
+   tracks.
 
    A registry is single-domain: each PDES shard owns one and samples it
    from its own dispatch loop; [merge] combines them after the run. *)

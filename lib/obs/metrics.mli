@@ -16,7 +16,8 @@
 type spec = { sample_every : int  (** cycles between samples (≥ 1). *) }
 
 val default_spec : spec
-(** [{ sample_every = 64 }] — the trace sink's occupancy cadence. *)
+(** [{ sample_every = 64 }] — also the cadence of the occupancy counter
+    tracks in a [trace --format chrome] timeline. *)
 
 type kind = Counter | Gauge | Ratio
 

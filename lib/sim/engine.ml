@@ -182,9 +182,10 @@ type t = {
   mutable step_limit : int;
   mutable egress : Msg.t -> unit;  (** installed once by [Network.create]. *)
   trace : Trace.t;
-  (* Occupancy sampler: fired inline by the dispatch loops whenever time
-     reaches [next_sample], so sampling never enqueues events and the
-     [steps]/event counts are identical with tracing on or off.
+  (* Periodic sampler (the metrics registry's): fired inline by the
+     dispatch loops whenever time reaches [next_sample], so sampling never
+     enqueues events and the [steps]/event counts are identical with
+     metrics on or off.
      [next_sample] stays [max_int] when no sampler is installed, making
      the disabled cost a single compare per event. *)
   mutable sampler : int -> unit;

@@ -120,7 +120,8 @@ val set_lookahead : t -> int -> unit
 val lookahead : t -> int
 
 val set_sampler : t -> every:int -> (int -> unit) -> unit
-(** Install an occupancy sampler: [f time] is invoked from the event
+(** Install a periodic sampler (the metrics registry's, which reads
+    occupancy gauges and counters): [f time] is invoked from the event
     dispatch loop the first time simulated time reaches each multiple-ish
     of [every] cycles (exactly: at the first event dispatched once [time]
     passes the previous sample time + [every]).  The sampler runs inline —

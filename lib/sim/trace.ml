@@ -1,9 +1,9 @@
 module Hist = Spandex_util.Hist
 module Msg = Spandex_proto.Msg
 
-type spec = { capacity : int; sample_every : int }
+type spec = { capacity : int }
 
-let default_spec = { capacity = 1 lsl 16; sample_every = 64 }
+let default_spec = { capacity = 1 lsl 16 }
 
 (* Event kinds in the ring.  Events are stored struct-of-arrays with six
    unboxed int fields; the meaning of [ids]/[a]/[b]/[c] depends on the
@@ -13,18 +13,15 @@ let default_spec = { capacity = 1 lsl 16; sample_every = 64 }
      0 span begin txn        cls        line      -
      1 span end   txn        cls        latency   -
      2 instant    name id    txn        arg       -
-     3 counter    name id    value      -         -
-     4 msg send   txn        kind idx   line      dst          *)
+     3 msg send   txn        kind idx   line      dst          *)
 
 let ek_span_begin = 0
 let ek_span_end = 1
 let ek_instant = 2
-let ek_counter = 3
-let ek_msg = 4
+let ek_msg = 3
 
 type t = {
   enabled : bool;
-  sample_every : int;
   mask : int;  (* capacity - 1; capacity is a power of two. *)
   times : int array;
   eks : int array;
@@ -34,7 +31,7 @@ type t = {
   b : int array;
   c : int array;
   mutable total : int;
-  (* Interned instant/counter names, [name id -> string]. *)
+  (* Interned instant names, [name id -> string]. *)
   name_index : (string, int) Hashtbl.t;
   mutable names : string array;
   mutable n_names : int;
@@ -68,7 +65,6 @@ let kind_name i =
 let disabled =
   {
     enabled = false;
-    sample_every = 0;
     mask = -1;
     times = [||];
     eks = [||];
@@ -92,7 +88,6 @@ let create spec =
   let cap = pow2_at_least spec.capacity 2 in
   {
     enabled = true;
-    sample_every = max 1 spec.sample_every;
     mask = cap - 1;
     times = Array.make cap 0;
     eks = Array.make cap 0;
@@ -110,7 +105,6 @@ let create spec =
   }
 
 let on t = t.enabled
-let sample_every t = t.sample_every
 
 let name t s =
   if not t.enabled then 0
@@ -160,9 +154,6 @@ let span_end t ~time ~dev ~txn =
 let instant t ~time ~dev ~name ~txn ~arg =
   if t.enabled then push t ~time ~ek:ek_instant ~dev ~id:name ~a:txn ~b:arg ~c:0
 
-let counter t ~time ~dev ~name ~value =
-  if t.enabled then push t ~time ~ek:ek_counter ~dev ~id:name ~a:value ~b:0 ~c:0
-
 let msg_send t ~time ~src ~dst ~txn ~kind ~line =
   if t.enabled then
     push t ~time ~ek:ek_msg ~dev:src ~id:txn ~a:kind ~b:line ~c:dst
@@ -188,7 +179,6 @@ type event =
   | Span_begin of { time : int; dev : int; txn : int; cls : int; line : int }
   | Span_end of { time : int; dev : int; txn : int; cls : int; latency : int }
   | Instant of { time : int; dev : int; name : string; txn : int; arg : int }
-  | Counter of { time : int; dev : int; name : string; value : int }
   | Msg_send of {
       time : int;
       src : int;
@@ -215,8 +205,6 @@ let iter t ~f =
       f (Span_end { time; dev; txn = id; cls = a; latency = b })
     else if ek = ek_instant then
       f (Instant { time; dev; name = t.names.(id); txn = a; arg = b })
-    else if ek = ek_counter then
-      f (Counter { time; dev; name = t.names.(id); value = a })
     else f (Msg_send { time; src = dev; dst = c; txn = id; kind = a; line = b })
   done
 
@@ -226,7 +214,6 @@ let time_of = function
   | Span_begin { time; _ }
   | Span_end { time; _ }
   | Instant { time; _ }
-  | Counter { time; _ }
   | Msg_send { time; _ } ->
     time
 
@@ -244,8 +231,6 @@ let re_record m = function
       push m ~time ~ek:ek_span_end ~dev ~id:txn ~a:cls ~b:latency ~c:0)
   | Instant { time; dev; name = n; txn; arg } ->
     instant m ~time ~dev ~name:(name m n) ~txn ~arg
-  | Counter { time; dev; name = n; value } ->
-    counter m ~time ~dev ~name:(name m n) ~value
   | Msg_send { time; src; dst; txn; kind; line } ->
     msg_send m ~time ~src ~dst ~txn ~kind ~line
 
@@ -266,14 +251,7 @@ let merge ts =
       |> Array.of_list
     in
     let cap = List.fold_left (fun acc t -> acc + recorded t) 0 live in
-    let m =
-      create
-        {
-          capacity = max 2 cap;
-          sample_every =
-            List.fold_left (fun acc t -> max acc t.sample_every) 1 live;
-        }
-    in
+    let m = create { capacity = max 2 cap } in
     let idx = Array.map (fun _ -> 0) streams in
     let continue = ref true in
     while !continue do
@@ -325,8 +303,7 @@ let devices_used t =
         mark dev
       | Msg_send { src; dst; _ } ->
         mark src;
-        mark dst
-      | Counter _ -> ());
+        mark dst);
   Hashtbl.fold (fun d () acc -> d :: acc) seen [] |> List.sort compare
 
 let export_chrome ?extra t ~device_name buf =
@@ -369,11 +346,6 @@ let export_chrome ?extra t ~device_name buf =
           (Printf.sprintf
              "{\"ph\":\"i\",\"name\":%s,\"pid\":0,\"tid\":%d,\"ts\":%d,\"s\":\"t\",\"args\":{\"txn\":%d,\"arg\":%d}}"
              (js name) dev time txn arg)
-      | Counter { time; dev = _; name; value } ->
-        emit
-          (Printf.sprintf
-             "{\"ph\":\"C\",\"name\":%s,\"pid\":0,\"ts\":%d,\"args\":{\"value\":%d}}"
-             (js name) time value)
       | Msg_send { time; src; dst; txn; kind; line } ->
         emit
           (Printf.sprintf
@@ -417,11 +389,6 @@ let export_jsonl t ~device_name buf =
           time
           (js (device_name dev))
           (js name) txn arg
-      | Counter { time; dev; name; value } ->
-        Printf.bprintf buf
-          "{\"t\":%d,\"ev\":\"c\",\"dev\":%s,\"name\":%s,\"value\":%d}" time
-          (js (device_name dev))
-          (js name) value
       | Msg_send { time; src; dst; txn; kind; line } ->
         Printf.bprintf buf
           "{\"t\":%d,\"ev\":\"m\",\"src\":%s,\"dst\":%s,\"txn\":%d,\"kind\":%s,\"line\":%d}"

@@ -2,10 +2,12 @@
 
     One sink per simulation records span begin/end pairs (one span per
     protocol transaction, keyed by [Txn] id and classified by request
-    kind), instant events (retries, faults, nacks, replays), periodic
-    counter samples (MSHR / store-buffer / queue occupancy) and every
+    kind), instant events (retries, faults, nacks, replays) and every
     network message send.  Completed spans additionally feed per-request-
-    class latency histograms ({!Spandex_util.Hist}).
+    class latency histograms ({!Spandex_util.Hist}).  Occupancy (MSHR /
+    store-buffer / queue depth) is not recorded here: the metrics registry
+    ([Spandex_obs.Metrics]) samples it, and {!export_chrome}'s [?extra]
+    merges those series into the timeline as counter tracks.
 
     The disabled path is a single branch on the immutable [enabled] flag:
     every recording function starts with [if t.enabled then ...] and takes
@@ -18,11 +20,10 @@
 type spec = {
   capacity : int;
       (** ring capacity in events; rounded up to a power of two. *)
-  sample_every : int;  (** cycles between occupancy counter samples. *)
 }
 
 val default_spec : spec
-(** 65536 events, sample every 64 cycles. *)
+(** 65536 events. *)
 
 type t
 
@@ -36,12 +37,10 @@ val on : t -> bool
 (** Whether this sink records.  Hot paths guard with [if Trace.on tr] so
     the disabled cost is one load + branch. *)
 
-val sample_every : t -> int
-
 (* ----- recording (all no-ops when disabled) ------------------------------- *)
 
 val name : t -> string -> int
-(** Intern an instant/counter name at component-creation time.  Returns 0
+(** Intern an instant name at component-creation time.  Returns 0
     on a disabled sink without mutating it. *)
 
 val span_begin : t -> time:int -> dev:int -> txn:int -> cls:int -> line:int -> unit
@@ -56,8 +55,6 @@ val instant : t -> time:int -> dev:int -> name:int -> txn:int -> arg:int -> unit
 (** A point event ([name] from {!name}); [txn] is the related transaction
     or [-1]; [arg] is event-specific (e.g. the successor txn id of a
     protocol-level retry). *)
-
-val counter : t -> time:int -> dev:int -> name:int -> value:int -> unit
 
 val msg_send :
   t -> time:int -> src:int -> dst:int -> txn:int -> kind:int -> line:int -> unit
@@ -91,7 +88,6 @@ type event =
   | Span_begin of { time : int; dev : int; txn : int; cls : int; line : int }
   | Span_end of { time : int; dev : int; txn : int; cls : int; latency : int }
   | Instant of { time : int; dev : int; name : string; txn : int; arg : int }
-  | Counter of { time : int; dev : int; name : string; value : int }
   | Msg_send of {
       time : int;
       src : int;
@@ -126,7 +122,7 @@ val export_chrome :
   Buffer.t ->
   unit
 (** Chrome trace-event JSON (Perfetto-loadable): one track per device
-    (async "b"/"e" slices per transaction, instants, counters), plus
+    (async "b"/"e" slices per transaction, instants), plus
     thread-name metadata.  [?extra] is called after the trace's own
     events with an [emit] that appends one pre-rendered trace-event JSON
     object to the same array — the metrics registry uses it to merge its

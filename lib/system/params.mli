@@ -75,9 +75,9 @@ type t = {
           bit-identical to an untraced build. *)
   metrics : Spandex_obs.Metrics.spec option;
       (** time-series metrics registry configuration; [None] (the
-          default) registers no probes.  Sampling shares the engine's
-          inline sampler with the trace sink (no events enqueued), so
-          results are bit-identical either way. *)
+          default) registers no probes.  Each shard engine's inline
+          sampler reads the probes (no events enqueued), so results are
+          bit-identical either way. *)
 }
 
 val default : t

@@ -130,6 +130,18 @@ let pp_latency fmt (r : Run.result) =
       rows;
     Format.fprintf fmt "@]"
 
+(* ----- Perfetto timeline ------------------------------------------------------ *)
+
+let device_name (r : Run.result) id =
+  if id >= 0 && id < Array.length r.Run.device_names then
+    r.Run.device_names.(id)
+  else Printf.sprintf "dev%d" id
+
+let export_chrome (r : Run.result) buf =
+  Spandex_sim.Trace.export_chrome
+    ~extra:(Spandex_obs.Metrics.chrome_counter_events r.Run.metrics)
+    r.Run.trace ~device_name:(device_name r) buf
+
 (* ----- fault-injection summary ---------------------------------------------- *)
 
 type fault_summary = {

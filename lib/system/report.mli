@@ -46,6 +46,17 @@ val pp_latency : Format.formatter -> Run.result -> unit
     max / mean in cycles) from [result.latency]; prints a hint when the
     run was untraced. *)
 
+val device_name : Run.result -> int -> string
+(** Display name of device [id] (["dev<id>"] outside the run's table). *)
+
+val export_chrome : Run.result -> Buffer.t -> unit
+(** The run's Perfetto timeline as Chrome trace-event JSON: the trace
+    sink's spans, instants and message sends, with every metrics series
+    merged in as a counter track — per-L1 MSHR and store-buffer (or
+    parked-request) occupancy, per-bank LLC and directory pending/blocked
+    lines, network in-flight messages.  Either sink may be off; it then
+    contributes nothing. *)
+
 type fault_summary = {
   injected : int;  (** total faults the network injected. *)
   dropped : int;

@@ -48,7 +48,6 @@ type component = {
   c_quiescent : unit -> bool;
   c_pending : unit -> string;
   c_stats : Stats.t;
-  c_sample : time:int -> unit;
   c_metrics : Metrics.t -> unit;
   c_fingerprint : Spandex_util.Fingerprint.t -> unit;
 }
@@ -109,7 +108,6 @@ let build_denovo engine net (p : Params.t) ~id ~llc_id ~atomics_at_llc ~region_o
       c_quiescent = (fun () -> (Denovo_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Denovo_l1.port l1).Port.describe_pending ());
       c_stats = Denovo_l1.stats l1;
-      c_sample = (fun ~time -> Denovo_l1.trace_sample l1 ~time);
       c_metrics =
         Denovo_l1.register_metrics l1
           ~device:(Printf.sprintf "denovo_l1.%d" id);
@@ -145,7 +143,6 @@ let build_mesi engine net (p : Params.t) ~id ~llc_id ~notify =
       c_quiescent = (fun () -> (Mesi_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Mesi_l1.port l1).Port.describe_pending ());
       c_stats = Mesi_l1.stats l1;
-      c_sample = (fun ~time -> Mesi_l1.trace_sample l1 ~time);
       c_metrics =
         Mesi_l1.register_metrics l1 ~device:(Printf.sprintf "mesi_l1.%d" id);
       c_fingerprint = Mesi_l1.fingerprint l1;
@@ -180,7 +177,6 @@ let build_gpucoh engine net (p : Params.t) ~id ~llc_id =
       c_quiescent = (fun () -> (Gpu_l1.port l1).Port.quiescent ());
       c_pending = (fun () -> (Gpu_l1.port l1).Port.describe_pending ());
       c_stats = Gpu_l1.stats l1;
-      c_sample = (fun ~time -> Gpu_l1.trace_sample l1 ~time);
       c_metrics =
         Gpu_l1.register_metrics l1 ~device:(Printf.sprintf "gpu_l1.%d" id);
       c_fingerprint = Gpu_l1.fingerprint l1;
@@ -383,7 +379,7 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
     Dram.create_banked home_bank_engines ~latency:p.Params.mem_latency
       ~service_interval:p.Params.mem_interval
   in
-  (* Components tagged with their owning shard, for per-shard samplers. *)
+  (* Components tagged with their owning shard, for per-shard metrics. *)
   let components = ref [] in
   let add ?(shard = 0) c = components := (shard, c) :: !components in
   let all_components () = List.map snd !components in
@@ -422,9 +418,9 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           }
       in
       (* One component per bank, all named "spandex_llc": the merged stats
-         sum back to the aggregate, and each bank's sampler/metrics/
-         quiescence run on its own shard.  The fingerprint (settled
-         points only) is emitted once, from bank 0's slot. *)
+         sum back to the aggregate, and each bank's metrics and quiescence
+         run on its own shard.  The fingerprint (settled points only) is
+         emitted once, from bank 0's slot. *)
       for b = 0 to banks - 1 do
         add ~shard:(bank_shard b)
           {
@@ -432,7 +428,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Llc.bank_quiescent llc b);
             c_pending = (fun () -> Llc.bank_describe_pending llc b);
             c_stats = Llc.bank_stats llc b;
-            c_sample = (fun ~time -> Llc.bank_trace_sample llc b ~time);
             c_metrics =
               (fun reg -> Llc.bank_register_metrics llc ~device:"spandex_llc" b reg);
             c_fingerprint =
@@ -461,7 +456,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Mesi_dir.bank_quiescent dir b);
             c_pending = (fun () -> Mesi_dir.bank_describe_pending dir b);
             c_stats = Mesi_dir.bank_stats dir b;
-            c_sample = (fun ~time -> Mesi_dir.bank_trace_sample dir b ~time);
             c_metrics =
               (fun reg ->
                 Mesi_dir.bank_register_metrics dir ~device:"mesi_dir" b reg);
@@ -503,7 +497,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
             c_quiescent = (fun () -> Llc.bank_quiescent l2 b);
             c_pending = (fun () -> Llc.bank_describe_pending l2 b);
             c_stats = Llc.bank_stats l2 b;
-            c_sample = (fun ~time -> Llc.bank_trace_sample l2 b ~time);
             c_metrics =
               (fun reg -> Llc.bank_register_metrics l2 ~device:"gpu_l2" b reg);
             c_fingerprint = (if b = 0 then Llc.fingerprint l2 else fun _ -> ());
@@ -515,7 +508,6 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
           c_quiescent = (fun () -> (Mesi_client.backing client).Backing.quiescent ());
           c_pending = (fun () -> (Mesi_client.backing client).Backing.describe_pending ());
           c_stats = Mesi_client.stats client;
-          c_sample = (fun ~time -> Mesi_client.trace_sample client ~time);
           c_metrics =
             Mesi_client.register_metrics client ~device:"mesi_client";
           c_fingerprint = Mesi_client.fingerprint client;
@@ -605,14 +597,10 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
   let views = List.rev !views in
   let check_logs = List.rev !check_logs in
   List.iter Core.start cores;
-  (* Periodic occupancy sampling runs inline in the engine's dispatch loop —
-     it never enqueues events, so event counts and scheduling are identical
-     with tracing and metrics on or off.  One engine sampler serves both
-     sinks: it fires on the faster cadence and each sink keeps its own
-     next-due cursor (the engine samples at the first event past each
-     multiple, not on exact multiples, so modulo gating would misfire). *)
-  let metrics_on = Metrics.on mregs.(0) in
-  if metrics_on then begin
+  (* Periodic metric sampling runs inline in each shard engine's dispatch
+     loop — it never enqueues events, so event counts and scheduling are
+     identical with metrics on or off. *)
+  if Metrics.on mregs.(0) then begin
     for s = 0 to shards - 1 do
       List.iter
         (fun (cs, c) -> if cs = s then c.c_metrics mregs.(s))
@@ -633,35 +621,13 @@ let build ?(params = Params.default) ~(config : Config.t) (w : Workload.t) =
       (Dram.channels dram);
     (* Depth gauges wrap every endpoint handler, so arm them only after
        all devices have registered; no-op on sharded networks. *)
-    Network.enable_vc_depth_metrics net mregs.(0)
-  end;
-  if Trace.on trace || metrics_on then
+    Network.enable_vc_depth_metrics net mregs.(0);
     for s = 0 to shards - 1 do
-      let sampled =
-        List.filter_map
-          (fun (cs, c) -> if cs = s then Some c else None)
-          !components
-      in
-      let trace_every = if Trace.on trace then Trace.sample_every trace else 0
-      and metrics_every = if metrics_on then Metrics.sample_every mregs.(s) else 0 in
-      let every =
-        match (trace_every, metrics_every) with
-        | 0, m -> m
-        | t, 0 -> t
-        | t, m -> min t m
-      in
-      let next_trace = ref 0 and next_metrics = ref 0 in
-      Engine.set_sampler engines.(s) ~every (fun time ->
-          if trace_every > 0 && time >= !next_trace then begin
-            next_trace := time + trace_every;
-            List.iter (fun c -> c.c_sample ~time) sampled;
-            Network.trace_sample_shard net ~shard:s ~time
-          end;
-          if metrics_every > 0 && time >= !next_metrics then begin
-            next_metrics := time + metrics_every;
-            Metrics.sample mregs.(s) ~time
-          end)
-    done;
+      let reg = mregs.(s) in
+      Engine.set_sampler engines.(s) ~every:(Metrics.sample_every reg)
+        (fun time -> Metrics.sample reg ~time)
+    done
+  end;
   (* Component -> shard table, in device-id order, for profiling output
      and the bench schema (only devices this workload instantiates). *)
   let partition_table =

@@ -38,8 +38,8 @@ type result = {
   metrics : Spandex_obs.Metrics.t;
       (** the run's merged time-series registry (per-shard registries
           combined deterministically); {!Spandex_obs.Metrics.disabled}
-          when [params.metrics] was [None].  Sampling shares the engine's
-          inline sampler with the trace sink, so results are bit-identical
+          when [params.metrics] was [None].  The engine's inline sampler
+          reads it without enqueueing events, so results are bit-identical
           with metrics on or off. *)
   shard_profile : Spandex_sim.Pdes.shard_profile array option;
       (** per-shard PDES profile (events, wall split, stalls, GC) in shard

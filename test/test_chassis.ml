@@ -9,6 +9,12 @@
    ordering, stats naming, trace emission or latency bucketing shows up as
    a digest mismatch on the exact (workload, config) cell that diverged.
 
+   The traced lines were regenerated once, when occupancy samples left the
+   trace stream (it holds spans, instants and message sends only): each
+   cell's new JSONL equals the old one minus its "ev":"c" lines, with the
+   header's total lowered by their count, and its results and latency
+   histograms are unchanged.
+
    Regenerate (only when a change is *meant* to alter simulation results):
 
      SPANDEX_CHASSIS_GOLDEN=$PWD/test/chassis_golden.expected \

@@ -282,6 +282,69 @@ let simulated_run_collects_series () =
   check_bool "merged chrome export parses" true
     (Helpers.json_valid (String.trim (Buffer.contents buf)))
 
+(* Counter-track families in a Chrome document: the metric name of every
+   "ph":"C" event (labels stripped). *)
+let chrome_counter_tracks doc =
+  let prefix = "{\"ph\":\"C\",\"name\":\"" in
+  let np = String.length prefix in
+  String.split_on_char '\n' doc
+  |> List.filter_map (fun l ->
+         if String.length l > np && String.sub l 0 np = prefix then
+           let rest = String.sub l np (String.length l - np) in
+           let stop c = c = '{' || c = '"' in
+           let rec len i = if stop rest.[i] then i else len (i + 1) in
+           Some (String.sub rest 0 (len 0))
+         else None)
+  |> List.sort_uniq compare
+
+let chrome_timeline_keeps_occupancy_tracks () =
+  (* The Perfetto timeline takes its occupancy tracks from the metrics
+     registry.  Each family replaces a trace-sink counter the simulator
+     used to sample separately: spandex_l1_mshr_occupancy and
+     spandex_l1_store_buffer_occupancy the chassis's "l1.<id>.mshr" /
+     "l1.<id>.sb", spandex_llc_pending / spandex_llc_blocked the LLC
+     banks' "llc.pending" / "llc.blocked", spandex_net_in_flight the
+     network's "net.in_flight", and spandex_dir_pending /
+     spandex_dir_blocked the MESI directory's "dir.pending" /
+     "dir.blocked". *)
+  let wl, _ = bench_cell () in
+  let params =
+    {
+      Params.bench with
+      Params.trace = Some Trace.default_spec;
+      metrics = Some Metrics.default_spec;
+    }
+  in
+  let common =
+    [
+      "spandex_l1_mshr_occupancy";
+      "spandex_l1_store_buffer_occupancy";
+      "spandex_llc_pending";
+      "spandex_llc_blocked";
+      "spandex_net_in_flight";
+    ]
+  in
+  List.iter
+    (fun (config, want) ->
+      let r = Run.simulate ~params ~config wl in
+      Run.assert_clean r;
+      let buf = Buffer.create (1 lsl 16) in
+      Report.export_chrome r buf;
+      let doc = Buffer.contents buf in
+      check_bool "timeline parses" true (Helpers.json_valid (String.trim doc));
+      let tracks = chrome_counter_tracks doc in
+      List.iter
+        (fun name ->
+          check_bool
+            (Printf.sprintf "%s has %s track" config.Config.name name)
+            true (List.mem name tracks))
+        want)
+    [
+      (Config.smd, common);
+      ( Config.by_name "HMG",
+        common @ [ "spandex_dir_pending"; "spandex_dir_blocked" ] );
+    ]
+
 (* ----- the identity gate: metrics-on ≡ metrics-off ---------------------------- *)
 
 let matrix ~params names =
@@ -440,6 +503,8 @@ let tests =
     test "csv_wellformed" csv_wellformed;
     test "chrome_counters_json_valid" chrome_counters_json_valid;
     test "simulated_run_collects_series" simulated_run_collects_series;
+    test "chrome_timeline_keeps_occupancy_tracks"
+      chrome_timeline_keeps_occupancy_tracks;
     test "metrics_on_matches_off_pdes" metrics_on_matches_off_pdes;
     test "pdes_profile_sanity" pdes_profile_sanity;
     test "pdes_prof_add_pads_and_sums" pdes_prof_add_pads_and_sums;

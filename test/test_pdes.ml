@@ -176,16 +176,11 @@ let fault_rng_per_link_deterministic () =
 
 (* ----- traced runs ---------------------------------------------------------- *)
 
-(* Counter samples are taken by per-shard samplers (per-shard occupancy is
-   a per-shard quantity), so the comparable part of a trace is the
-   span/instant/send stream.  Spans and sends carry txn ids, which are
-   per-device allocations — identical across backends. *)
-let comparable_events tr =
+(* The whole decoded trace stream.  Spans and sends carry txn ids, which
+   are per-device allocations — identical across backends. *)
+let trace_events tr =
   let evs = ref [] in
-  Trace.iter tr ~f:(fun ev ->
-      match ev with
-      | Trace.Counter _ -> ()
-      | ev -> evs := ev :: !evs);
+  Trace.iter tr ~f:(fun ev -> evs := ev :: !evs);
   List.rev !evs
 
 (* The pre-partition placement (home complex pinned to shard 0, cores to
@@ -218,8 +213,8 @@ let pdes_trace_matches_wheel () =
   (match Report.diff_result seq pinned with
   | None -> ()
   | Some d -> Alcotest.failf "traced pdes diverged from wheel: %s" d);
-  let es = comparable_events seq.Run.trace in
-  let ep = comparable_events pinned.Run.trace in
+  let es = trace_events seq.Run.trace in
+  let ep = trace_events pinned.Run.trace in
   Alcotest.(check int) "trace event count" (List.length es) (List.length ep);
   List.iteri
     (fun i (a, b) ->
@@ -234,7 +229,7 @@ let pdes_trace_matches_wheel () =
   | None -> ()
   | Some d -> Alcotest.failf "traced spread pdes diverged from wheel: %s" d);
   let sorted evs = List.sort compare evs in
-  let es' = sorted es and ep' = sorted (comparable_events spread.Run.trace) in
+  let es' = sorted es and ep' = sorted (trace_events spread.Run.trace) in
   Alcotest.(check int)
     "spread trace event count" (List.length es') (List.length ep');
   List.iteri

@@ -112,7 +112,6 @@ let trace_disabled () =
   Trace.span_begin tr ~time:1 ~dev:0 ~txn:7 ~cls:0 ~line:0;
   Trace.span_end tr ~time:5 ~dev:0 ~txn:7;
   Trace.instant tr ~time:1 ~dev:0 ~name:0 ~txn:(-1) ~arg:0;
-  Trace.counter tr ~time:1 ~dev:0 ~name:0 ~value:3;
   Trace.msg_send tr ~time:1 ~src:0 ~dst:1 ~txn:7 ~kind:0 ~line:0;
   check_int "nothing recorded" 0 (Trace.total tr);
   check_int "no open spans" 0 (Trace.open_spans tr);
@@ -123,7 +122,7 @@ let trace_disabled () =
   check_int "iter empty" 0 !n
 
 let trace_ring_wrap () =
-  let tr = Trace.create { Trace.capacity = 8; sample_every = 64 } in
+  let tr = Trace.create { Trace.capacity = 8 } in
   let name = Trace.name tr "tick" in
   for t = 0 to 19 do
     Trace.instant tr ~time:t ~dev:0 ~name ~txn:(-1) ~arg:t
@@ -144,7 +143,7 @@ let trace_ring_wrap () =
     (List.rev !times)
 
 let trace_capacity_rounds_up () =
-  let tr = Trace.create { Trace.capacity = 5; sample_every = 64 } in
+  let tr = Trace.create { Trace.capacity = 5 } in
   let name = Trace.name tr "x" in
   for t = 0 to 7 do
     Trace.instant tr ~time:t ~dev:0 ~name ~txn:(-1) ~arg:0
@@ -153,7 +152,7 @@ let trace_capacity_rounds_up () =
   check_int "nothing dropped yet" 0 (Trace.dropped tr)
 
 let trace_spans () =
-  let tr = Trace.create { Trace.capacity = 16; sample_every = 64 } in
+  let tr = Trace.create { Trace.capacity = 16 } in
   Trace.span_begin tr ~time:10 ~dev:2 ~txn:42 ~cls:0 ~line:3;
   check_int "one open span" 1 (Trace.open_spans tr);
   Trace.span_end tr ~time:150 ~dev:2 ~txn:42;
@@ -172,7 +171,7 @@ let trace_spans () =
 let trace_span_survives_wrap () =
   (* Latency accounting lives beside the ring, so a span whose begin event
      was evicted by wraparound still records its latency on end. *)
-  let tr = Trace.create { Trace.capacity = 8; sample_every = 64 } in
+  let tr = Trace.create { Trace.capacity = 8 } in
   let name = Trace.name tr "noise" in
   Trace.span_begin tr ~time:0 ~dev:0 ~txn:1 ~cls:2 ~line:0;
   for t = 1 to 40 do
@@ -191,12 +190,11 @@ let trace_span_survives_wrap () =
 let json_valid = Helpers.json_valid
 
 let populated_sink () =
-  let tr = Trace.create { Trace.capacity = 64; sample_every = 64 } in
+  let tr = Trace.create { Trace.capacity = 64 } in
   let quoted = Trace.name tr "needs \"escaping\"\n" in
   Trace.span_begin tr ~time:1 ~dev:0 ~txn:5 ~cls:1 ~line:9;
   Trace.msg_send tr ~time:2 ~src:0 ~dst:3 ~txn:5 ~kind:1 ~line:9;
   Trace.instant tr ~time:3 ~dev:3 ~name:quoted ~txn:5 ~arg:(-1);
-  Trace.counter tr ~time:4 ~dev:0 ~name:quoted ~value:7;
   Trace.span_end tr ~time:20 ~dev:0 ~txn:5;
   tr
 
@@ -224,8 +222,8 @@ let export_jsonl_valid () =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
   in
-  (* header + 5 events *)
-  check_int "line count" 6 (List.length lines);
+  (* header + 4 events *)
+  check_int "line count" 5 (List.length lines);
   List.iter
     (fun l -> check_bool ("line parses: " ^ l) true (json_valid l))
     lines
