@@ -379,6 +379,17 @@ let trace_cmd =
       reorder fault_seed =
     let entry = find_entry workload in
     let config = find_config config in
+    let export =
+      match format with
+      | "chrome" -> Report.export_chrome
+      | "jsonl" ->
+        fun r buf ->
+          Trace.export_jsonl r.Run.trace ~device_name:(Report.device_name r)
+            buf
+      | f ->
+        Printf.eprintf "unknown trace format %s (chrome or jsonl)\n" f;
+        exit 1
+    in
     let metrics = metrics_spec sample_every in
     let fault = fault_spec_of ~drop ~dup ~delay ~reorder ~seed:fault_seed in
     let params =
@@ -400,12 +411,7 @@ let trace_cmd =
           (if format = "jsonl" then "jsonl" else "json")
     in
     let buf = Buffer.create (1 lsl 16) in
-    (match format with
-    | "chrome" -> Report.export_chrome r buf
-    | "jsonl" -> Trace.export_jsonl tr ~device_name:(Report.device_name r) buf
-    | f ->
-      Printf.eprintf "unknown trace format %s (chrome or jsonl)\n" f;
-      exit 1);
+    export r buf;
     write_buffer out buf;
     Printf.printf "%s %s: %d events recorded (%d dropped, %d open spans)\n"
       entry.Registry.name config.Config.name (Trace.recorded tr)
@@ -538,6 +544,17 @@ let metrics_cmd =
   let run workload config scale format out sample_every engine shards =
     let entry = find_entry workload in
     let config = find_config config in
+    let export =
+      match format with
+      | "openmetrics" ->
+        fun r buf -> Metrics.export_openmetrics r.Run.metrics buf
+      | "csv" -> fun r buf -> Metrics.export_csv r.Run.metrics buf
+      | "chrome" -> Report.export_chrome
+      | f ->
+        Printf.eprintf
+          "unknown metrics format %s (openmetrics, csv or chrome)\n" f;
+        exit 1
+    in
     let metrics = metrics_spec sample_every in
     let backend = backend_of ~shards engine in
     let params =
@@ -561,14 +578,7 @@ let metrics_cmd =
           (match format with "csv" -> "csv" | "chrome" -> "json" | _ -> "om")
     in
     let buf = Buffer.create (1 lsl 16) in
-    (match format with
-    | "openmetrics" -> Metrics.export_openmetrics m buf
-    | "csv" -> Metrics.export_csv m buf
-    | "chrome" -> Report.export_chrome r buf
-    | f ->
-      Printf.eprintf "unknown metrics format %s (openmetrics, csv or chrome)\n"
-        f;
-      exit 1);
+    export r buf;
     write_buffer out buf;
     Printf.printf "%s %s: %d series, %d samples (every %d cycles)\n"
       entry.Registry.name config.Config.name (Metrics.num_series m)

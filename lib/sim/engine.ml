@@ -8,14 +8,14 @@ type endpoint = {
 }
 
 (* The dominant event kinds are represented as data instead of nested
-   closures: [Handle] (tag 2) models the ingress granting a delivered
-   message (one per cycle) and invoking the handler, [Egress] (tag 3) a
-   component handing a message to the network after its internal access
-   latency (dispatched through the callback {!set_egress} installs), and
-   [Apply] (tag 4) a completion continuation fired with its result value
-   (load/RMW hits).  [Thunk] (tag 0) is the fallback for every other
-   component callback.  Network deliveries do not live in this queue at
-   all — see [Netq] below.
+   closures: [Handle] (tag 2) invokes the handler of a delivered message
+   that had to wait for its ingress port (one grant per cycle), [Egress]
+   (tag 3) a component handing a message to the network after its
+   internal access latency (dispatched through the callback {!set_egress}
+   installs), and [Apply] (tag 4) a completion continuation fired with its
+   result value (load/RMW hits).  [Thunk] (tag 0) is the fallback for
+   every other component callback.  Network deliveries do not live in
+   this queue at all — see [Netq] below.
 
    Events are mutable records drawn from a per-engine free-list instead of
    variant cells: dispatch copies the payload fields into locals, returns
@@ -53,111 +53,150 @@ let fresh_ev () =
    same delivery keys, and the per-shard component order is the sequential
    order restricted to that shard.
 
-   Represented as a binary min-heap over parallel int arrays (no per-entry
-   boxing; [msgs]/[eps] carry the payload).  Keys are unique — [tie]
-   embeds a per-source sequence number — so ordering is total. *)
+   Represented as buckets keyed by arrival cycle on a power-of-two ring:
+   bucket [time land mask] holds only deliveries arriving at [time], as a
+   list sorted on (t0, tie).  A push is appended at the tail when its key
+   is the bucket's largest — the common case, since local pushes come in
+   send order — and otherwise inserted by a walk from the head.  Every
+   pending arrival lies in [now, now + ring size), because a push checks
+   its own delay against the ring and pending deliveries are never in the
+   past; a push beyond the ring doubles it, moving each bucket whole.
+   Entries live in one pooled arena of parallel arrays ([next] links both
+   the buckets and the free list), so steady-state pushes and pops
+   allocate nothing.  Keys are unique — [tie] embeds a per-source sequence
+   number — so ordering is total. *)
 module Netq = struct
   type t = {
-    mutable times : int array;
+    mutable first : int array;  (* per bucket; -1 when empty. *)
+    mutable last : int array;  (* per bucket; read only when non-empty. *)
+    mutable mask : int;  (* ring size - 1. *)
+    mutable head : int;  (* earliest pending arrival; max_int when empty. *)
+    mutable len : int;
     mutable t0s : int array;
     mutable ties : int array;
     mutable msgs : Msg.t array;
     mutable eps : endpoint array;
-    mutable len : int;
+    mutable next : int array;
+    mutable free : int;  (* free-list head; -1 when the arena is full. *)
   }
 
   let create () =
     {
-      times = Array.make 64 0;
+      first = Array.make 64 (-1);
+      last = Array.make 64 (-1);
+      mask = 63;
+      head = max_int;
+      len = 0;
       t0s = Array.make 64 0;
       ties = Array.make 64 0;
       msgs = Array.make 64 Msg.dummy;
       eps = Array.make 64 dummy_ep;
-      len = 0;
+      next = Array.init 64 (fun i -> if i < 63 then i + 1 else -1);
+      free = 0;
     }
 
-  let is_empty q = q.len = 0
-  let min_time q = q.times.(0)
+  let min_time q = q.head
+
+  let grow_arena q =
+    let n = Array.length q.next in
+    let extend a fill =
+      let b = Array.make (2 * n) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    q.t0s <- extend q.t0s 0;
+    q.ties <- extend q.ties 0;
+    q.msgs <- extend q.msgs Msg.dummy;
+    q.eps <- extend q.eps dummy_ep;
+    q.next <- Array.init (2 * n) (fun i ->
+        if i < n then q.next.(i) else if i < (2 * n) - 1 then i + 1 else -1);
+    q.free <- n
+
+  (* Double the ring until [time] fits.  Each pending arrival [T] lies in
+     [now, now + size), so its bucket index [b] gives back
+     [T = now + ((b - now) land mask)]; the bucket moves whole. *)
+  let rec grow_ring q ~now ~time =
+    let size = q.mask + 1 in
+    let first = Array.make (2 * size) (-1)
+    and last = Array.make (2 * size) (-1) in
+    for b = 0 to q.mask do
+      if q.first.(b) >= 0 then begin
+        let nb = (now + ((b - now) land q.mask)) land ((2 * size) - 1) in
+        first.(nb) <- q.first.(b);
+        last.(nb) <- q.last.(b)
+      end
+    done;
+    q.first <- first;
+    q.last <- last;
+    q.mask <- (2 * size) - 1;
+    if time - now > q.mask then grow_ring q ~now ~time
 
   let less q i j =
-    let ti = q.times.(i) and tj = q.times.(j) in
-    ti < tj
-    || ti = tj
-       &&
-       let ai = q.t0s.(i) and aj = q.t0s.(j) in
-       ai < aj || (ai = aj && q.ties.(i) < q.ties.(j))
+    let ai = q.t0s.(i) and aj = q.t0s.(j) in
+    ai < aj || (ai = aj && q.ties.(i) < q.ties.(j))
 
-  let swap q i j =
-    let t = q.times.(i) in
-    q.times.(i) <- q.times.(j);
-    q.times.(j) <- t;
-    let t = q.t0s.(i) in
-    q.t0s.(i) <- q.t0s.(j);
-    q.t0s.(j) <- t;
-    let t = q.ties.(i) in
-    q.ties.(i) <- q.ties.(j);
-    q.ties.(j) <- t;
-    let m = q.msgs.(i) in
-    q.msgs.(i) <- q.msgs.(j);
-    q.msgs.(j) <- m;
-    let e = q.eps.(i) in
-    q.eps.(i) <- q.eps.(j);
-    q.eps.(j) <- e
-
-  let grow q =
-    let cap = 2 * Array.length q.times in
-    let times = Array.make cap 0
-    and t0s = Array.make cap 0
-    and ties = Array.make cap 0
-    and msgs = Array.make cap Msg.dummy
-    and eps = Array.make cap dummy_ep in
-    Array.blit q.times 0 times 0 q.len;
-    Array.blit q.t0s 0 t0s 0 q.len;
-    Array.blit q.ties 0 ties 0 q.len;
-    Array.blit q.msgs 0 msgs 0 q.len;
-    Array.blit q.eps 0 eps 0 q.len;
-    q.times <- times;
-    q.t0s <- t0s;
-    q.ties <- ties;
-    q.msgs <- msgs;
-    q.eps <- eps
-
-  let push q ~time ~t0 ~tie msg ep =
-    if q.len = Array.length q.times then grow q;
-    let i = ref q.len in
-    q.times.(!i) <- time;
-    q.t0s.(!i) <- t0;
-    q.ties.(!i) <- tie;
-    q.msgs.(!i) <- msg;
-    q.eps.(!i) <- ep;
+  (* [now] is the engine's current cycle: no pending arrival precedes it. *)
+  let push q ~now ~time ~t0 ~tie msg ep =
+    if time - now > q.mask then grow_ring q ~now ~time;
+    if q.free < 0 then grow_arena q;
+    let i = q.free in
+    q.free <- q.next.(i);
+    q.t0s.(i) <- t0;
+    q.ties.(i) <- tie;
+    q.msgs.(i) <- msg;
+    q.eps.(i) <- ep;
+    q.next.(i) <- -1;
+    let b = time land q.mask in
+    let f = q.first.(b) in
+    if f < 0 then begin
+      q.first.(b) <- i;
+      q.last.(b) <- i
+    end
+    else if less q q.last.(b) i then begin
+      q.next.(q.last.(b)) <- i;
+      q.last.(b) <- i
+    end
+    else if less q i f then begin
+      q.next.(i) <- f;
+      q.first.(b) <- i
+    end
+    else begin
+      (* [f] < i < last: some successor of [f] is larger than [i]. *)
+      let p = ref f in
+      while less q q.next.(!p) i do
+        p := q.next.(!p)
+      done;
+      q.next.(i) <- q.next.(!p);
+      q.next.(!p) <- i
+    end;
     q.len <- q.len + 1;
-    while !i > 0 && less q !i ((!i - 1) / 2) do
-      swap q !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    if time < q.head then q.head <- time
 
-  (* Remove the root; callers read [msgs.(0)]/[eps.(0)] first. *)
+  (* Remove the earliest entry; callers read [msgs]/[eps] at
+     [first.(head land mask)] first. *)
   let drop_min q =
+    let b = q.head land q.mask in
+    let i = q.first.(b) in
+    let n = q.next.(i) in
+    q.first.(b) <- n;
+    (* Clear the entry so it pins neither message nor endpoint. *)
+    q.msgs.(i) <- Msg.dummy;
+    q.eps.(i) <- dummy_ep;
+    q.next.(i) <- q.free;
+    q.free <- i;
     q.len <- q.len - 1;
-    let n = q.len in
-    if n > 0 then swap q 0 n;
-    (* Clear the vacated slot so it pins neither message nor endpoint. *)
-    q.msgs.(n) <- Msg.dummy;
-    q.eps.(n) <- dummy_ep;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let s = ref !i in
-      if l < n && less q l !s then s := l;
-      if r < n && less q r !s then s := r;
-      if !s <> !i then begin
-        swap q !i !s;
-        i := !s
+    if n < 0 then begin
+      (* The bucket is spent: scan the ring for the next arrival. *)
+      q.last.(b) <- -1;
+      if q.len = 0 then q.head <- max_int
+      else begin
+        let h = ref (q.head + 1) in
+        while q.first.(!h land q.mask) < 0 do
+          incr h
+        done;
+        q.head <- !h
       end
-      else continue := false
-    done
+    end
 end
 
 type backend = Wheel_backend | Pdes_backend of { shards : int }
@@ -360,7 +399,7 @@ let draw_tie t src =
 
 let deliver t ~delay (msg : Msg.t) ep =
   if delay < 0 then invalid_arg "Engine.deliver: negative delay";
-  Netq.push t.netq ~time:(t.time + delay) ~t0:t.time
+  Netq.push t.netq ~now:t.time ~time:(t.time + delay) ~t0:t.time
     ~tie:(draw_tie t msg.Msg.src) msg ep
 
 let cross_tie t (msg : Msg.t) = draw_tie t msg.Msg.src
@@ -374,7 +413,7 @@ let inject t ~time ~t0 ~tie msg ep =
      its endpoints; a cross-shard message is counted when it crosses into
      the shard (the sender's network context never saw it). *)
   incr ep.in_flight;
-  Netq.push t.netq ~time ~t0 ~tie msg ep
+  Netq.push t.netq ~now:t.time ~time ~t0 ~tie msg ep
 
 let send_later t ~delay msg =
   if delay < 0 then invalid_arg "Engine.send_later: negative delay";
@@ -396,10 +435,15 @@ let step_limit_hit t =
     (Deadlock
        (Printf.sprintf "step limit %d exceeded at cycle %d" t.step_limit t.time))
 
-(* Dispatch copies an event's fields into locals and recycles the record
-   *before* acting, so the action's own pushes can reuse it immediately.
-   After a [Handle]'s component handler returns, the message itself goes
+(* Run a granted delivery's handler.  Once it returns, the message goes
    back to its pool unless the handler kept it (see {!Msg.recycle}). *)
+let handle ep msg =
+  decr ep.in_flight;
+  ep.handler msg;
+  Msg.recycle msg
+
+(* Dispatch copies an event's fields into locals and recycles the record
+   *before* acting, so the action's own pushes can reuse it immediately. *)
 let wheel_dispatch t (e : ev) =
   match e.tag with
   | 0 ->
@@ -410,9 +454,7 @@ let wheel_dispatch t (e : ev) =
     let ep = e.ep in
     let msg = e.msg in
     ev_recycle t e;
-    decr ep.in_flight;
-    ep.handler msg;
-    Msg.recycle msg
+    handle ep msg
   | 3 ->
     let msg = e.msg in
     ev_recycle t e;
@@ -424,63 +466,75 @@ let wheel_dispatch t (e : ev) =
     f v
 
 (* Grant the best pending delivery: the one-message-per-cycle ingress
-   drain assigns the port slot, and the handler invocation is scheduled as
-   a [Handle] component event — which [dispatch_one] drains before granting
-   the next delivery, so a burst of same-cycle arrivals at one endpoint
-   is granted in key order with the port back-pressure applied exactly as
-   the sequential engine always has. *)
+   drain assigns the port slot.  A port that is free this cycle runs the
+   handler at once.  That is the order a [Handle] event would give: a
+   delivery pops only when the wheel's head is strictly later, so a
+   [Handle] pushed for the current cycle would be the very next event.
+   The inline grant still counts that event (and checks the step limit),
+   so [events_processed] is the same either way.  A back-pressured
+   delivery becomes a [Handle] event at its granted cycle, which
+   [dispatch] drains before granting the next delivery of that cycle. *)
 let netq_dispatch t =
   let q = t.netq in
-  let msg = q.Netq.msgs.(0) and ep = q.Netq.eps.(0) in
+  let i = q.Netq.first.(q.Netq.head land q.Netq.mask) in
+  let msg = q.Netq.msgs.(i) and ep = q.Netq.eps.(i) in
   Netq.drop_min q;
-  let deliver_at =
-    if ep.ingress_free > t.time then ep.ingress_free else t.time
-  in
-  ep.ingress_free <- deliver_at + 1;
-  let e = ev_alloc t in
-  e.tag <- 2;
-  e.msg <- msg;
-  e.ep <- ep;
-  Wheel.push t.wheel ~time:deliver_at e
-
-(* The earlier of the two queue heads; which queue pops when they tie is
-   decided by [dispatch_one] alone. *)
-let next_time t =
-  let tq = Wheel.peek_time t.wheel in
-  if Netq.is_empty t.netq then tq
-  else
-    let tn = Netq.min_time t.netq in
-    if tn < tq then tn else tq
+  if ep.ingress_free > t.time then begin
+    let deliver_at = ep.ingress_free in
+    ep.ingress_free <- deliver_at + 1;
+    let e = ev_alloc t in
+    e.tag <- 2;
+    e.msg <- msg;
+    e.ep <- ep;
+    Wheel.push t.wheel ~time:deliver_at e
+  end
+  else begin
+    ep.ingress_free <- t.time + 1;
+    t.steps <- t.steps + 1;
+    if t.steps > t.step_limit then step_limit_hit t;
+    handle ep msg
+  end
 
 (* Dispatch the next event under the canonical pop rule: component events
    first at equal times, a delivery only when strictly earlier than the
    wheel's head (or the wheel is idle).  Combined with [Handle] being a
    component event, this makes the merged order a pure function of the
-   simulated machine.  Every run loop goes through here; the caller has
+   simulated machine.  Every run loop reads both heads once — [tq] the
+   wheel's, [tn] the [Netq]'s — and passes them here; the caller has
    checked that some event is queued. *)
-let dispatch_one t =
+let dispatch t tq tn =
   t.steps <- t.steps + 1;
   if t.steps > t.step_limit then step_limit_hit t;
-  let nq = t.netq in
-  if (not (Netq.is_empty nq)) && Wheel.peek_time t.wheel > Netq.min_time nq
-  then begin
-    t.time <- Netq.min_time nq;
-    if t.time >= t.next_sample then sample_now t;
+  if tn < tq then begin
+    t.time <- tn;
+    if tn >= t.next_sample then sample_now t;
     netq_dispatch t
   end
   else begin
     let ev = Wheel.pop_min t.wheel in
-    t.time <- Wheel.current_time t.wheel;
-    if t.time >= t.next_sample then sample_now t;
+    t.time <- tq;
+    if tq >= t.next_sample then sample_now t;
     wheel_dispatch t ev
+  end
+
+let next_time t =
+  let tq = Wheel.peek_time t.wheel and tn = Netq.min_time t.netq in
+  if tn < tq then tn else tq
+
+let step t =
+  let tq = Wheel.peek_time t.wheel and tn = Netq.min_time t.netq in
+  if tq = max_int && tn = max_int then false
+  else begin
+    dispatch t tq tn;
+    true
   end
 
 (* A drained queue is only "done" if no component still holds live work:
    an L1 waiting on a reply that will never arrive would otherwise look
    like a completed simulation. *)
 let run_all ?(strict = true) t =
-  while next_time t < max_int do
-    dispatch_one t
+  while step t do
+    ()
   done;
   if strict then begin
     match live_work t with
@@ -488,13 +542,6 @@ let run_all ?(strict = true) t =
     | work -> raise (Stuck { stuck_cycle = t.time; stuck_work = work })
   end;
   t.time
-
-let step t =
-  if next_time t = max_int then false
-  else begin
-    dispatch_one t;
-    true
-  end
 
 let set_step_limit t n = t.step_limit <- n
 let events_processed t = t.steps
@@ -541,35 +588,40 @@ let watchdog_check t ~boundary =
    same cycle with the same event count. *)
 let run t ~until_done ~pending_desc =
   let l = t.lookahead in
+  (* [loop] returns the finish cycle, or [-1] when the queue drains first. *)
   let rec loop check_at =
-    let te = next_time t in
-    if te = max_int then
-      if until_done () then t.time else raise (Deadlock (pending_desc ()))
+    let tq = Wheel.peek_time t.wheel and tn = Netq.min_time t.netq in
+    let te = if tn < tq then tn else tq in
+    if te = max_int then if until_done () then t.time else -1
     else if te >= check_at then
       if until_done () then t.time
       else begin
         let b = l * (te / l) in
         watchdog_check t ~boundary:b;
-        dispatch_run t;
+        dispatch t tq tn;
         loop (b + l)
       end
     else begin
-      dispatch_run t;
+      dispatch t tq tn;
       loop check_at
     end
-  and dispatch_run t =
-    match dispatch_one t with
-    | () -> ()
-    | exception Deadlock msg ->
-      (* Step-limit overruns get the caller's pending description. *)
-      raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))
   in
-  loop min_int
+  match loop min_int with
+  | -1 -> raise (Deadlock (pending_desc ()))
+  | finish -> finish
+  | exception Deadlock msg ->
+    (* Step-limit overruns get the caller's pending description. *)
+    raise (Deadlock (Printf.sprintf "%s: %s" msg (pending_desc ())))
 
 (* PDES window execution: drain every event strictly before [stop].  The
    caller (the round coordinator) guarantees no event before [stop] can
    still arrive from another shard. *)
 let run_window t ~stop =
-  while next_time t < stop do
-    dispatch_one t
-  done
+  let rec loop () =
+    let tq = Wheel.peek_time t.wheel and tn = Netq.min_time t.netq in
+    if tq < stop || tn < stop then begin
+      dispatch t tq tn;
+      loop ()
+    end
+  in
+  loop ()

@@ -1,16 +1,25 @@
 (** Discrete-event simulation engine.
 
-    Component events (callbacks, ingress grants, egress hand-offs,
-    completion continuations) live in a scheduler queue ordered by
-    (cycle, insertion order); network deliveries live in a separate
-    delivery queue ordered by a canonical key — (arrival time, send time,
-    source id, per-source sequence).  At every cycle the engine drains
-    same-cycle component events before granting deliveries, so the merged
-    order is a pure function of the simulated machine rather than of
-    queue push interleave.  That canonical order is what makes the
-    sharded PDES backend bit-identical to a sequential run: shards compute
-    the same delivery keys, and per-shard component order is the
-    sequential order restricted to the shard.
+    Component events (callbacks, back-pressured ingress grants, egress
+    hand-offs, completion continuations) live in a scheduler queue
+    ordered by (cycle, insertion order); network deliveries live in a
+    separate delivery queue ([Netq]) ordered by a canonical key —
+    (arrival time, send time, source id, per-source sequence).  At every
+    cycle the engine drains same-cycle component events before granting
+    deliveries, so the merged order is a pure function of the simulated
+    machine rather than of queue push interleave.  That canonical order is
+    what makes the sharded PDES backend bit-identical to a sequential run:
+    shards compute the same delivery keys, and per-shard component order
+    is the sequential order restricted to the shard.
+
+    A delivery whose ingress port is free in its arrival cycle runs its
+    handler as soon as it is granted, with no component event.  That is
+    the order a queued handler event would have had: a delivery is
+    granted only when the scheduler's head is strictly later, so a
+    handler event pushed for the current cycle would be the very next
+    one dispatched.  The inline handler still counts as an event, so
+    {!events_processed} is the same either way.  A delivery whose port is
+    busy is queued as a handler event at the cycle the port frees up.
 
     The component queue is a hierarchical timing wheel
     ({!Spandex_util.Wheel}): almost every event lands 1–100 cycles ahead,
@@ -19,7 +28,10 @@
     heap.  It is the only scheduler.  Its order is guarded by property
     tests against the reference binary heap ({!Spandex_util.Pqueue}),
     by the chassis golden trace, and by the sharded backend reproducing
-    the sequential one bit for bit. *)
+    the sequential one bit for bit.  The delivery queue buckets
+    deliveries by arrival cycle on a ring, each bucket sorted on
+    (send time, tiebreak); a property test checks its pops against a
+    reference sort. *)
 
 type t
 
@@ -78,14 +90,14 @@ type endpoint = {
 }
 (** A network delivery target.  Owned by {!Spandex_net.Network}, which
     keeps them in a dense array indexed by device id; the engine needs the
-    representation to process delivery events without closures.
+    representation to grant deliveries without closures.
 
     Component events are an implementation detail: mutable tagged records
     (Thunk / Handle / Egress / Apply) drawn from a per-engine free-list
     and recycled at dispatch, so the steady-state hot path allocates no
-    event cells.  After a Handle dispatch returns, the delivered message
-    is returned to its pool unless the handler kept it
-    ({!Spandex_proto.Msg.keep}). *)
+    event cells.  Once a delivery's handler returns — run inline at the
+    grant or from a Handle event — the message is returned to its pool
+    unless the handler kept it ({!Spandex_proto.Msg.keep}). *)
 
 type backend =
   | Wheel_backend  (** one sequential engine (default). *)
@@ -137,10 +149,11 @@ val at : t -> time:int -> (unit -> unit) -> unit
 
 val deliver : t -> delay:int -> Spandex_proto.Msg.t -> endpoint -> unit
 (** Enqueue a network delivery [delay] cycles ahead, keyed for the
-    canonical merge by (arrival, send time, src, per-src seq); on dispatch
-    the engine applies the one-message-per-cycle ingress drain and
-    re-queues the handler invocation as a component event (two events per
-    delivered message, as always). *)
+    canonical merge by (arrival, send time, src, per-src seq).  When it is
+    granted, the engine applies the one-message-per-cycle ingress drain:
+    the handler runs at once if the port is free, otherwise it is queued
+    as a component event for the cycle the port frees up.  Either way the
+    delivery counts as two events (grant and handler). *)
 
 val cross_tie : t -> Spandex_proto.Msg.t -> int
 (** Draw the delivery tiebreak (src, per-src seq) for [msg] from this
@@ -201,9 +214,10 @@ val next_time : t -> int
     stays legal. *)
 
 val step : t -> bool
-(** Dispatch exactly one event (advancing time to it); [false] when the
-    queue is empty.  The model checker's execution driver — interleave
-    with delivery choices between steps. *)
+(** Dispatch the next event (advancing time to it); [false] when the
+    queue is empty.  A delivery granted to a free port runs its handler in
+    the same step (two events).  The model checker's execution driver —
+    interleave with delivery choices between steps. *)
 
 val set_watchdog :
   t ->

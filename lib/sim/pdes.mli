@@ -2,7 +2,7 @@
     behind [Engine.Pdes_backend].
 
     The simulated machine is partitioned into shards, each with its own
-    {!Engine} (timing wheel + delivery heap + clock) running on a
+    {!Engine} (timing wheel + delivery queue + clock) running on a
     dedicated domain.  The only inter-shard interaction is a network
     message, and every network link has latency at least the topology's
     [min_latency] — the lookahead [L].  That gives the conservative

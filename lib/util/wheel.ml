@@ -1,12 +1,17 @@
 (* Timing wheel with an overflow heap; see the .mli for the design notes.
 
    Invariants:
-   - [cur] is monotone; every event with time < [cur] has been popped.
+   - [floor] (the last popped time) is monotone; every event with time <
+     [floor] has been popped, and pushes before it are refused.
+   - [cur] is a scan cursor in [floor, earliest pending time]: no pending
+     event lies in [floor, cur).  A peek moves it forward and a push
+     before it pulls it back, so a peek never makes a later push illegal.
    - A slot only ever holds events of a single absolute time: an entry for
-     [T] is slot-resident iff it was pushed with [T - cur < horizon], and
-     distinct times within [cur, cur + horizon) map to distinct slots.
-   - A slot is fully drained (rd = wr, reset to 0) before the cursor moves
-     past its time, so reuse for [T + horizon] never mixes batches.
+     [T] is slot-resident iff it was pushed with [T - floor < horizon], so
+     every slot entry lies in [floor, floor + horizon), where distinct
+     times map to distinct slots.
+   - A slot is reset (rd = wr = 0) as soon as it drains, so its reuse for
+     [T + horizon] never mixes batches.
    - All overflow entries for time [T] predate (in push order) every slot
      entry for [T], so popping overflow-first at [T] is global FIFO. *)
 
@@ -22,7 +27,8 @@ type 'a t = {
   idx_mask : int;  (* horizon - 1. *)
   slots : 'a slot array;
   overflow : 'a Pqueue.t;
-  mutable cur : int;  (* cursor: no pending event lives below it. *)
+  mutable floor : int;  (* last popped time. *)
+  mutable cur : int;  (* scan cursor: no pending event in [floor, cur). *)
   mutable wheel_count : int;  (* events resident in slots. *)
   mutable size : int;  (* slots + overflow. *)
   mutable overflow_pushes : int;
@@ -43,6 +49,7 @@ let create ?(horizon = 512) ?(slot_capacity = 4) ~dummy () =
       Array.init horizon (fun _ ->
           { arr = Array.make slot_capacity dummy; rd = 0; wr = 0 });
     overflow = Pqueue.create ~capacity:16 ();
+    floor = 0;
     cur = 0;
     wheel_count = 0;
     size = 0;
@@ -52,7 +59,6 @@ let create ?(horizon = 512) ?(slot_capacity = 4) ~dummy () =
 let is_empty t = t.size = 0
 let length t = t.size
 let overflow_pushes t = t.overflow_pushes
-let current_time t = t.cur
 
 let grow_slot t s =
   let arr = Array.make (2 * Array.length s.arr) t.dummy in
@@ -60,10 +66,12 @@ let grow_slot t s =
   s.arr <- arr
 
 let push t ~time value =
-  if time < t.cur then
+  if time < t.floor then
     invalid_arg
-      (Printf.sprintf "Wheel.push: time %d precedes cursor %d" time t.cur);
-  if time - t.cur < t.horizon then begin
+      (Printf.sprintf "Wheel.push: time %d precedes the last pop at %d" time
+         t.floor);
+  if time < t.cur then t.cur <- time;
+  if time - t.floor < t.horizon then begin
     let s = t.slots.(time land t.idx_mask) in
     if s.wr = Array.length s.arr then grow_slot t s;
     s.arr.(s.wr) <- value;
@@ -111,7 +119,9 @@ let min_time t =
 let pop_min t =
   if t.size = 0 then invalid_arg "Wheel.pop_min: empty";
   t.size <- t.size - 1;
-  if advance t then Pqueue.pop_min t.overflow
+  let from_overflow = advance t in
+  t.floor <- t.cur;
+  if from_overflow then Pqueue.pop_min t.overflow
   else begin
     let s = t.slots.(t.cur land t.idx_mask) in
     let v = s.arr.(s.rd) in
@@ -132,19 +142,11 @@ let pop t =
     Some (time, pop_min t)
   end
 
-(* Non-destructive: [min_time]'s cursor advance would make pushes at times
-   between the (unchanged) dispatch clock and the peeked minimum illegal —
-   exactly what an event loop that peeks, declines to step, and then
-   injects a present-time event (the model checker's stabilize/deliver
-   cycle) needs to do.  [advance] only moves [cur], so restoring it
-   re-permits those pushes; the skipped slots are empty either way. *)
 let peek_time t =
   if t.size = 0 then max_int
   else begin
-    let saved = t.cur in
-    let time = min_time t in
-    t.cur <- saved;
-    time
+    ignore (advance t : bool);
+    t.cur
   end
 
 let clear t =
@@ -157,6 +159,7 @@ let clear t =
       s.wr <- 0)
     t.slots;
   Pqueue.clear t.overflow;
+  t.floor <- 0;
   t.cur <- 0;
   t.wheel_count <- 0;
   t.size <- 0

@@ -5,16 +5,16 @@
     bucketed wheel of [horizon] one-cycle slots gives O(1) push and pop for
     the common case, with FIFO order among events of the same cycle
     preserved by construction (each slot is an append-only queue).  Events
-    scheduled at or beyond [cur + horizon] — watchdog beats, retry backoff
-    deadlines, fault-injection delays — fall back to an overflow binary
-    heap ({!Pqueue}) and are popped directly from it when the wheel's
-    cursor reaches their cycle.
+    scheduled at or beyond [floor + horizon], where [floor] is the last
+    popped time — watchdog beats, retry backoff deadlines, fault-injection
+    delays — fall back to an overflow binary heap ({!Pqueue}) and are
+    popped directly from it when the wheel's cursor reaches their cycle.
 
     FIFO correctness across the two tiers: an overflow entry for cycle [T]
-    can only have been pushed while [T >= cur + horizon], i.e. strictly
-    before any direct slot push for [T] (the cursor is monotone), so
-    draining the overflow heap before slot [T] at cycle [T] reproduces
-    exactly the global push order a single [(time, seq)] heap would give.
+    can only have been pushed while [T >= floor + horizon], i.e. strictly
+    before any direct slot push for [T] ([floor] is monotone), so draining
+    the overflow heap before slot [T] at cycle [T] reproduces exactly the
+    global push order a single [(time, seq)] heap would give.
 
     Times must be non-negative and never less than the last popped time
     (the engine's no-scheduling-into-the-past rule). *)
@@ -32,13 +32,15 @@ val length : 'a t -> int
 
 val push : 'a t -> time:int -> 'a -> unit
 (** Insert with key [time]; FIFO among equal times.
-    @raise Invalid_argument when [time] precedes the current cursor. *)
+    @raise Invalid_argument when [time] precedes the last popped time. *)
 
 val min_time : 'a t -> int
-(** Time of the minimum element; advances the internal cursor to it.
-    O(1) when events exist at the cursor, otherwise bounded by the
-    horizon (empty-slot scan) or O(1) via a direct jump when only
-    overflow events remain.
+(** Time of the minimum element; advances the internal scan cursor to it,
+    so the {!pop_min} that follows starts there.  O(1) when events exist
+    at the cursor, otherwise bounded by the horizon (empty-slot scan) or
+    O(1) via a direct jump when only overflow events remain.  A push
+    before the cursor (but not before the last popped time) stays legal
+    and pulls the cursor back.
     @raise Invalid_argument when empty. *)
 
 val pop_min : 'a t -> 'a
@@ -46,20 +48,13 @@ val pop_min : 'a t -> 'a
     nothing on the slot path; pair with {!min_time} in event loops.
     @raise Invalid_argument when empty. *)
 
-val current_time : 'a t -> int
-(** The cursor position.  Immediately after {!pop_min} this is the time of
-    the element just popped, letting event loops retrieve it without a
-    second cursor advance (and without the tuple {!pop} allocates). *)
-
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element with its time, or [None] when
     empty.  Convenience wrapper over {!min_time}/{!pop_min}. *)
 
 val peek_time : 'a t -> int
-(** Time of the minimum element without removing it, or [max_int] when
-    empty.  Unlike {!min_time} it leaves the cursor where it was, so a
-    push at any time not before the last popped one stays legal after a
-    peek. *)
+(** {!min_time}, but [max_int] when empty: the event loop's one head read
+    per event. *)
 
 val overflow_pushes : 'a t -> int
 (** Total pushes routed to the overflow heap since creation — a cheap

@@ -88,11 +88,78 @@ let engine_run_allocation_free () =
   if per_event >= 1.0 then
     Alcotest.failf "Engine.run allocated %.2f minor words per event" per_event
 
-(* ----- Network ------------------------------------------------------------------- *)
-
 let msg ?(payload = Msg.No_data) ~src ~dst () =
   Msg.make ~txn:1 ~kind:(Msg.Req Msg.ReqV) ~line:0 ~mask:(Mask.singleton 0)
     ~payload ~src ~dst ()
+
+let endpoint handler = { Engine.handler; ingress_free = 0; in_flight = ref 0 }
+
+let engine_delivery_burst () =
+  (* Four messages sent at cycle 0 from sources 3, 1, 2, 0 arrive at one
+     endpoint at cycle 5; a fifth from source 4, sent at cycle 1, arrives
+     at 6.  Component events come first within a cycle, deliveries are
+     granted in (arrival, send time, source) order, and the port takes
+     one per cycle: the first at 5 runs in its arrival cycle, the rest
+     wait for the port.  Every delivery counts two events (its grant and
+     its handler), whether the handler ran at once or waited. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let note what = log := (what, Engine.now e) :: !log in
+  let ep = endpoint (fun m -> note (Printf.sprintf "h%d" m.Msg.src)) in
+  Engine.schedule e ~delay:5 (fun () -> note "c5");
+  Engine.schedule e ~delay:6 (fun () -> note "c6");
+  List.iter
+    (fun src -> Engine.deliver e ~delay:5 (msg ~src ~dst:9 ()) ep)
+    [ 3; 1; 2; 0 ];
+  Engine.schedule e ~delay:1 (fun () ->
+      Engine.deliver e ~delay:5 (msg ~src:4 ~dst:9 ()) ep);
+  ignore (Engine.run_all e : int);
+  Alcotest.(check (list (pair string int)))
+    "handler order and cycles"
+    [
+      ("c5", 5); ("h0", 5); ("c6", 6); ("h1", 6); ("h2", 7); ("h3", 8);
+      ("h4", 9);
+    ]
+    (List.rev !log);
+  check_int "events: 3 thunks + 5 grants + 5 handlers" 13
+    (Engine.events_processed e)
+
+let engine_delivery_allocation_free () =
+  (* Every 4 cycles a preallocated thunk sends two preallocated messages
+     that arrive together at one endpoint: the first is granted in its
+     arrival cycle, the second waits a cycle for the port.  Delivering
+     them, queued either way, must stay under one minor word per
+     delivery. *)
+  let e = Engine.create () in
+  let n = 10_000 in
+  let received = ref 0 and on_time = ref 0 and sent = ref 0 in
+  let m1 = msg ~src:1 ~dst:2 () and m2 = msg ~src:3 ~dst:2 () in
+  let ep =
+    endpoint (fun _ ->
+        incr received;
+        (* Sends at 1, 5, 9, ... arrive at multiples of 4. *)
+        if Engine.now e land 3 = 0 then incr on_time)
+  in
+  let rec tick () =
+    Engine.deliver e ~delay:3 m1 ep;
+    Engine.deliver e ~delay:3 m2 ep;
+    sent := !sent + 2;
+    if !sent < 2 * n then Engine.schedule e ~delay:4 tick
+  in
+  let until_done () = !received >= 2 * n in
+  let pending_desc () = "deliveries" in
+  Engine.schedule e ~delay:1 tick;
+  let w0 = Gc.minor_words () in
+  ignore (Engine.run e ~until_done ~pending_desc : int);
+  let words = Gc.minor_words () -. w0 in
+  check_int "all delivered" (2 * n) !received;
+  check_int "half granted in their arrival cycle" n !on_time;
+  let per_delivery = words /. float_of_int (2 * n) in
+  if per_delivery >= 1.0 then
+    Alcotest.failf "delivery allocated %.2f minor words per message"
+      per_delivery
+
+(* ----- Network ------------------------------------------------------------------- *)
 
 let network_delivery_latency () =
   let e = Engine.create () in
@@ -288,6 +355,8 @@ let tests =
     test "engine_step_limit" engine_step_limit;
     test "engine_no_past_scheduling" engine_no_past_scheduling;
     test "engine_run_allocation_free" engine_run_allocation_free;
+    test "engine_delivery_burst" engine_delivery_burst;
+    test "engine_delivery_allocation_free" engine_delivery_allocation_free;
     test "network_delivery_latency" network_delivery_latency;
     test "network_ingress_serialization" network_ingress_serialization;
     test "network_point_to_point_fifo" network_point_to_point_fifo;
